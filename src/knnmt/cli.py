@@ -35,7 +35,7 @@ from .core import (
     write_corpus,
 )
 from .datastore import build, load_datastore, load_ivf, save_datastore, save_ivf, train_ivf
-from .decode import DecodeConfig, beam_decode, grid_search
+from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode, grid_search
 from .metrics import bleu, corpus_wer
 from .ngram import LmInterpConfig, lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
 from .pipeline import DiversifyConfig, diversify, leave_one_out_eval
@@ -524,7 +524,7 @@ def _add_common_model_flags(sp, multi: bool) -> None:
     sp.add_argument("--adapter", default=None, help="adapter tag to activate")
 
 
-def _add_retrieval_flags(sp) -> None:
+def _add_store_flags(sp) -> None:
     sp.add_argument(
         "--datastore",
         action="append",
@@ -537,9 +537,17 @@ def _add_retrieval_flags(sp) -> None:
         default=None,
         help="IVF index file, one per datastore (repeatable)",
     )
+
+
+def _add_mixing_flags(sp, grid: bool = False) -> None:
+    """--k, then --T and --w, or with `grid` their comma-separated grids."""
     sp.add_argument("--k", type=int, default=8, help="neighbors per query")
-    sp.add_argument("--T", type=float, default=50.0, help="retrieval temperature")
-    sp.add_argument("--w", type=float, default=0.3, help="retrieval interpolation weight")
+    if grid:
+        sp.add_argument("--T-grid", type=_float_list, default=T_GRID_DEFAULT, help="comma-separated temperatures")
+        sp.add_argument("--w-grid", type=_float_list, default=W_GRID_DEFAULT, help="comma-separated weights")
+    else:
+        sp.add_argument("--T", type=float, default=50.0, help="retrieval temperature")
+        sp.add_argument("--w", type=float, default=0.3, help="retrieval interpolation weight")
 
 
 def _add_beam_flags(sp) -> None:
@@ -594,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("decode", _cmd_decode, "beam-decode a corpus, optionally with retrieval and LM fusion")
     _add_common_model_flags(sp, multi=True)
-    _add_retrieval_flags(sp)
+    _add_store_flags(sp)
+    _add_mixing_flags(sp)
     _add_beam_flags(sp)
     sp.add_argument("--corpus", required=True, help="TSV whose source side is decoded")
     sp.add_argument("--out", required=True, help="JSONL hypotheses to write")
@@ -607,21 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("grid-search", _cmd_grid_search, "sweep retrieval temperature and weight on a dev set")
     _add_common_model_flags(sp, multi=True)
-    sp.add_argument(
-        "--datastore",
-        action="append",
-        default=None,
-        help="datastore file, one per model (repeatable)",
-    )
-    sp.add_argument(
-        "--ivf-index",
-        action="append",
-        default=None,
-        help="IVF index file, one per datastore (repeatable)",
-    )
-    sp.add_argument("--k", type=int, default=8)
-    sp.add_argument("--T-grid", type=_float_list, default=(10.0, 50.0, 100.0), help="comma-separated temperatures")
-    sp.add_argument("--w-grid", type=_float_list, default=(0.1, 0.3, 0.5), help="comma-separated weights")
+    _add_store_flags(sp)
+    _add_mixing_flags(sp, grid=True)
     _add_beam_flags(sp)
     sp.add_argument("--dev", required=True, help="dev corpus TSV")
     sp.add_argument("--out", required=True, help="TSV of (T, w, BLEU) rows")
@@ -649,9 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("leave-one-out", _cmd_leave_one_out, "score retrieval vs baseline, holding each talk out")
     _add_common_model_flags(sp, multi=True)
     sp.add_argument("--talkset", required=True, help="TSV with talk ids in column 4")
-    sp.add_argument("--k", type=int, default=8)
-    sp.add_argument("--T", type=float, default=50.0)
-    sp.add_argument("--w", type=float, default=0.3)
+    _add_mixing_flags(sp)
     _add_beam_flags(sp)
     sp.add_argument("--out", default=None, help="also write the JSON report here")
 

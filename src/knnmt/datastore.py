@@ -12,7 +12,7 @@ to a stored key has distance exactly 0 and duplicate keys tie exactly.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,20 +36,22 @@ class Neighbor(NamedTuple):
 @dataclass
 class IvfIndex:
     """Flat inverted-file index: k-means centroids plus one posting list of
-    datastore row indices per cluster."""
+    datastore row indices per cluster. `n_rows` records how many rows the
+    lists partition, so search can refuse a store the index was not
+    trained on."""
 
     centroids: np.ndarray  # (C, dim) float32
     lists: list[np.ndarray]  # int64 row indices, one array per cluster
     nprobe: int = 1
+    n_rows: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.nprobe < 1 or self.nprobe > len(self.lists):
             raise ValueError(
                 f"nprobe must be in [1, {len(self.lists)}], got {self.nprobe}"
             )
-        counts = sum(len(lst) for lst in self.lists)
-        all_idx = np.concatenate([lst for lst in self.lists]) if counts else np.array([], dtype=np.int64)
-        if counts and (np.sort(all_idx) != np.arange(counts)).any():
+        self.n_rows = sum(len(lst) for lst in self.lists)
+        if (np.sort(np.concatenate(self.lists)) != np.arange(self.n_rows)).any():
             raise ValueError("posting lists must partition the datastore rows")
 
     @property
@@ -59,6 +61,12 @@ class IvfIndex:
 
 @dataclass
 class Datastore:
+    """Every search answers as (rows, distances), two (B, take) arrays with
+    take = min(k, rows not excluded), ascending by distance, row index
+    breaking ties. IVF slots the probed lists cannot fill hold row -1 and
+    distance +inf, after the filled ones; the Neighbor views drop them.
+    `keys` is read-only, since search caches the norms of the array held."""
+
     dim: int
     keys: np.ndarray  # (N, dim) float32
     values: np.ndarray  # (N,) uint32
@@ -71,37 +79,33 @@ class Datastore:
         if self.talk_ids.shape != self.values.shape:
             raise ValueError("talk_ids and values must align")
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "keys":
+            value.flags.writeable = False
+        super().__setattr__(name, value)
+
     def __len__(self) -> int:
         return len(self.values)
 
     def search(
         self, query: np.ndarray, k: int, exclude_talk: int | None = None
     ) -> list[Neighbor]:
-        """Exact search, or IVF when an index is attached."""
-        if self.index is not None:
-            return query_ivf(self, query, k, exclude_talk)
-        return query_exact(self, query, k, exclude_talk)
+        """search_batch for one query vector."""
+        return self.search_batch(_one_query(self, query), k, exclude_talk)[0]
 
     def search_batch(
         self, queries: np.ndarray, k: int, exclude_talk: int | None = None
     ) -> list[list[Neighbor]]:
-        """One neighbor list per query row; each list equals what search
-        would return for that row alone. The exact path shares one matrix
-        product across the batch, which is what makes beam decoding with
-        retrieval cheap."""
-        if self.index is not None:
-            return [query_ivf(self, q, k, exclude_talk) for q in queries]
-        return query_exact_batch(self, queries, k, exclude_talk)
+        """search_batch_rows as one Neighbor list per query row."""
+        return _wrap_neighbors(self, *self.search_batch_rows(queries, k, exclude_talk))
 
     def search_batch_rows(
         self, queries: np.ndarray, k: int, exclude_talk: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """search_batch without the Neighbor wrapping: (row indices,
-        distances) as two (B, take) arrays. Exact stores only; with an IVF
-        index attached the per-query scan sets differ, so there is no
-        rectangular form."""
+        """(rows, distances) for a (B, dim) query matrix: exact search, or
+        IVF when an index is attached."""
         if self.index is not None:
-            raise ValueError("search_batch_rows requires a store without an IVF index")
+            return query_ivf_rows(self, queries, k, exclude_talk)
         return query_exact_batch_rows(self, queries, k, exclude_talk)
 
 
@@ -135,41 +139,35 @@ def build(model: StepModel, bitext: ParallelCorpus) -> Datastore:
     )
 
 
-def _check_query(ds: Datastore, query: np.ndarray, k: int) -> np.ndarray:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def _one_query(ds: Datastore, query: np.ndarray) -> np.ndarray:
+    """A (dim,) query vector as a (1, dim) query matrix."""
     q = np.asarray(query, dtype=np.float32)
     if q.shape != (ds.dim,):
         raise ValueError(f"query shape {q.shape}, want ({ds.dim},)")
-    return q
+    return q[None, :]
+
+
+def _check_queries(ds: Datastore, queries: np.ndarray, k: int) -> np.ndarray:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    Q = np.asarray(queries, dtype=np.float32)
+    if Q.ndim != 2 or Q.shape[1] != ds.dim:
+        raise ValueError(f"query matrix shape {Q.shape}, want (B, {ds.dim})")
+    return Q
 
 
 def _select(
-    d2: np.ndarray, rows: np.ndarray, take: int, ds: Datastore
-) -> list[Neighbor]:
-    """Smallest `take` by distance, ties broken by datastore row index.
-    Excluded entries must already carry distance +inf and be subtracted
-    from `take`."""
-    if take <= 0:
-        return []
+    d2: np.ndarray, rows: np.ndarray, take: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, distances) of the smallest `take` distances, ascending, ties
+    broken by row index; `rows` must be ascending."""
     if take < len(d2):
-        part = np.argpartition(d2, take - 1)[:take]
-        kth = d2[part].max()
+        kth = np.partition(d2, take - 1)[take - 1]
         cand = np.flatnonzero(d2 <= kth)
     else:
         cand = np.arange(len(d2))
-    order = np.lexsort((rows[cand], d2[cand]))
-    picked = cand[order[:take]]
-    rows_p = rows[picked]
-    return [
-        Neighbor(r, d, v, t)
-        for r, d, v, t in zip(
-            rows_p.tolist(),
-            d2[picked].tolist(),
-            ds.values[rows_p].tolist(),
-            ds.talk_ids[rows_p].tolist(),
-        )
-    ]
+    picked = cand[np.argsort(d2[cand], kind="stable")[:take]]
+    return rows[picked], d2[picked]
 
 
 # Margin covering float32 rounding between the expansion-based ranking
@@ -180,16 +178,18 @@ def _select(
 _EXPANSION_SLACK = 1e-4
 
 
-def _norm_cache(ds: Datastore) -> np.ndarray:
-    sq = getattr(ds, "_sq_norms", None)
-    if sq is None or len(sq) != len(ds):
+def _norm_cache(ds: Datastore) -> tuple[np.ndarray, np.ndarray, float]:
+    """(squared key norms, -2 * keys transposed, max key norm), rebuilt
+    whenever the store holds a different keys array."""
+    cache = ds.__dict__.get("_norms")
+    if cache is None or cache[0] is not ds.keys:
         sq = np.einsum("ij,ij->i", ds.keys, ds.keys)
-        ds._sq_norms = sq
-        ds._max_norm = float(np.sqrt(sq.max())) if len(sq) else 0.0
         # pre-scaled contiguous transpose: one product plus one add gives
         # the ranking estimates, and doubling is exact in float32
-        ds._keys_T2 = np.ascontiguousarray((ds.keys * -2.0).T)
-    return sq
+        keys_T2 = np.ascontiguousarray((ds.keys * -2.0).T)
+        max_norm = float(np.sqrt(sq.max())) if len(sq) else 0.0
+        cache = ds._norms = (ds.keys, sq, keys_T2, max_norm)
+    return cache[1:]
 
 
 def _exclusion(ds: Datastore, exclude_talk: int | None) -> tuple[np.ndarray | None, int]:
@@ -235,6 +235,7 @@ def _refine_batch(
     d2a: np.ndarray,
     take: int,
     qq: np.ndarray,
+    max_norm: float,
     has_excluded: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-query top-`take` given ranking estimates `d2a` of shape
@@ -247,13 +248,7 @@ def _refine_batch(
     whenever everything inside the margin fits; ragged margin sets take
     the general path."""
     n_queries, n = d2a.shape
-    if take <= 0 or n_queries == 0:
-        empty = max(take, 0)
-        return (
-            np.zeros((n_queries, empty), dtype=np.int64),
-            np.zeros((n_queries, empty), dtype=np.float32),
-        )
-    margins = _EXPANSION_SLACK * (ds._max_norm + np.sqrt(qq.astype(np.float64))) ** 2
+    margins = _EXPANSION_SLACK * (max_norm + np.sqrt(qq.astype(np.float64))) ** 2
     kext = take + _REFINE_EXTRA
     if kext < n:
         each = np.arange(n_queries)[:, None]
@@ -283,15 +278,22 @@ def _refine_batch(
 def _wrap_neighbors(
     ds: Datastore, rows: np.ndarray, dists: np.ndarray
 ) -> list[list[Neighbor]]:
-    vals = ds.values[rows]
-    talks = ds.talk_ids[rows]
-    return [
-        [
+    """One Neighbor list per row of (rows, dists), -1 slots dropped. The
+    only place a Neighbor is built."""
+    out = []
+    for rw, dw in zip(rows, dists):
+        filled = rw >= 0
+        rw = rw[filled]
+        out.append([
             Neighbor(r, d, v, t)
-            for r, d, v, t in zip(rw.tolist(), dw.tolist(), vw.tolist(), tw.tolist())
-        ]
-        for rw, dw, vw, tw in zip(rows, dists, vals, talks)
-    ]
+            for r, d, v, t in zip(
+                rw.tolist(),
+                dw[filled].tolist(),
+                ds.values[rw].tolist(),
+                ds.talk_ids[rw].tolist(),
+            )
+        ])
+    return out
 
 
 def query_exact(
@@ -300,19 +302,8 @@ def query_exact(
     """k nearest entries by squared L2, ascending, row index breaking ties.
     Entries from `exclude_talk` are never returned; fewer than k eligible
     entries return all of them."""
-    q = _check_query(ds, query, k)
-    if len(ds) == 0:
-        return []
-    return query_exact_batch(ds, q[None, :], k, exclude_talk)[0]
-
-
-def query_exact_batch(
-    ds: Datastore, queries: np.ndarray, k: int, exclude_talk: int | None = None
-) -> list[list[Neighbor]]:
-    """query_exact for a whole (B, dim) query matrix at once; per-row
-    results are identical to the single-query form."""
-    rows, dists = query_exact_batch_rows(ds, queries, k, exclude_talk)
-    return _wrap_neighbors(ds, rows, dists)
+    rows = query_exact_batch_rows(ds, _one_query(ds, query), k, exclude_talk)
+    return _wrap_neighbors(ds, *rows)[0]
 
 
 def query_exact_batch_rows(
@@ -323,26 +314,21 @@ def query_exact_batch_rows(
     query_exact. Ranking estimates come from one norm-expansion matrix
     product over the keys; reported distances are always recomputed from
     the actual float32 differences."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    Q = np.asarray(queries, dtype=np.float32)
-    if Q.ndim != 2 or Q.shape[1] != ds.dim:
-        raise ValueError(f"query matrix shape {Q.shape}, want (B, {ds.dim})")
+    Q = _check_queries(ds, queries, k)
     excluded, eligible = _exclusion(ds, exclude_talk)
     take = min(k, eligible)
-    if len(ds) == 0 or len(Q) == 0 or take <= 0:
-        width = max(take, 0) if len(ds) else 0
+    if len(Q) == 0 or take == 0:
         return (
-            np.zeros((len(Q), width), dtype=np.int64),
-            np.zeros((len(Q), width), dtype=np.float32),
+            np.zeros((len(Q), take), dtype=np.int64),
+            np.zeros((len(Q), take), dtype=np.float32),
         )
-    sq_norms = _norm_cache(ds)
-    d2a = Q @ ds._keys_T2  # (B, N), the one pass over the keys
+    sq_norms, keys_T2, max_norm = _norm_cache(ds)
+    d2a = Q @ keys_T2  # (B, N), the one pass over the keys
     d2a += sq_norms[None, :]
     qq = np.einsum("ij,ij->i", Q, Q)
     if excluded is not None:
         d2a[:, excluded] = np.inf
-    return _refine_batch(ds, Q, d2a, take, qq, excluded is not None)
+    return _refine_batch(ds, Q, d2a, take, qq, max_norm, excluded is not None)
 
 
 def train_ivf(
@@ -401,34 +387,51 @@ def query_ivf(
     exclude_talk: int | None = None,
     nprobe: int | None = None,
 ) -> list[Neighbor]:
-    """Scan only the nprobe clusters whose centroids are nearest the query;
-    within that scanned set, ordering and tie rules match exact search.
-    nprobe equal to the cluster count reproduces exact search results."""
-    if ds.index is None:
-        raise ValueError("datastore has no IVF index; call train_ivf first")
-    q = _check_query(ds, query, k)
-    if len(ds) == 0:
-        return []
+    """query_ivf_rows for one query vector, as Neighbors."""
+    rows = query_ivf_rows(ds, _one_query(ds, query), k, exclude_talk, nprobe)
+    return _wrap_neighbors(ds, *rows)[0]
+
+
+def query_ivf_rows(
+    ds: Datastore,
+    queries: np.ndarray,
+    k: int,
+    exclude_talk: int | None = None,
+    nprobe: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """IVF search in the shape of query_exact_batch_rows. Each query scans
+    only the nprobe clusters whose centroids are nearest it; within that
+    set, ordering and tie rules match exact search, and slots it cannot
+    fill hold row -1 and distance +inf. nprobe equal to the cluster count
+    reproduces exact search results."""
     idx = ds.index
+    if idx is None:
+        raise ValueError("datastore has no IVF index; call train_ivf first")
+    if idx.n_rows != len(ds) or idx.centroids.shape[1] != ds.dim:
+        raise ValueError(
+            f"IVF index over {idx.n_rows} rows of dim {idx.centroids.shape[1]} "
+            f"does not match a datastore of {len(ds)} rows of dim {ds.dim}"
+        )
+    Q = _check_queries(ds, queries, k)
     probes = idx.nprobe if nprobe is None else nprobe
     if probes < 1 or probes > idx.n_clusters:
         raise ValueError(f"nprobe must be in [1, {idx.n_clusters}], got {probes}")
-    cdiff = idx.centroids - q
-    cd2 = np.einsum("ij,ij->i", cdiff, cdiff)
-    nearest = np.argsort(cd2, kind="stable")[:probes]
-    rows = np.concatenate([idx.lists[c] for c in nearest])
-    if len(rows) == 0:
-        return []
-    rows = np.sort(rows)
-    diff = ds.keys[rows] - q
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if exclude_talk is not None:
-        excluded = ds.talk_ids[rows] == exclude_talk
-        d2 = np.where(excluded, np.float32(np.inf), d2)
-        eligible = len(d2) - int(excluded.sum())
-    else:
-        eligible = len(d2)
-    return _select(d2, rows, min(k, eligible), ds)
+    excluded, eligible = _exclusion(ds, exclude_talk)
+    take = min(k, eligible)
+    rows = np.full((len(Q), take), -1, dtype=np.int64)
+    dists = np.full((len(Q), take), np.inf, dtype=np.float32)
+    for b, q in enumerate(Q):
+        cdiff = idx.centroids - q
+        cd2 = np.einsum("ij,ij->i", cdiff, cdiff)
+        nearest = np.argsort(cd2, kind="stable")[:probes]
+        scan = np.sort(np.concatenate([idx.lists[c] for c in nearest]))
+        if excluded is not None:
+            scan = scan[~excluded[scan]]
+        diff = ds.keys[scan] - q
+        got_rows, got_d2 = _select(np.einsum("ij,ij->i", diff, diff), scan, take)
+        rows[b, : len(got_rows)] = got_rows
+        dists[b, : len(got_d2)] = got_d2
+    return rows, dists
 
 
 def save_datastore(ds: Datastore, path: str | Path) -> None:

@@ -50,23 +50,42 @@ class DecodeConfig:
             raise ValueError("fusion_alpha must be >= 0")
 
 
+def knn_distributions(
+    values: np.ndarray, distances: np.ndarray, T: float, vocab_size: int
+) -> np.ndarray:
+    """p_knn for a (B, take) block of retrieved token ids and distances: row
+    b weighs each of its tokens by exp(-distance/T), summed per token and
+    normalized. Slots at distance +inf weigh exactly 0; every row needs one
+    finite distance. A token id outside the vocabulary raises ValueError
+    rather than leaking into the next row."""
+    if T <= 0:
+        raise ValueError("temperature must be > 0")
+    if values.max() >= vocab_size:
+        raise ValueError(
+            f"datastore token id {values.max()} is outside the vocabulary of {vocab_size}"
+        )
+    d = distances.astype(np.float64)
+    n = len(d)
+    # shift by each row's minimum distance: same normalized result, no underflow
+    weights = np.exp(-(d - d.min(axis=1, keepdims=True)) / T)
+    flat = values.astype(np.intp) + vocab_size * np.arange(n, dtype=np.intp)[:, None]
+    p = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=n * vocab_size)
+    p = p.reshape(n, vocab_size)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def knn_distribution(
     neighbors: Sequence[Neighbor], T: float, vocab_size: int
 ) -> np.ndarray | None:
-    """Distribution over the vocabulary with weight exp(-distance/T) summed
-    per retrieved token. Returns None for an empty neighbor list so the
-    caller can fall back to the plain model distribution."""
-    if T <= 0:
-        raise ValueError("temperature must be > 0")
+    """knn_distributions for one neighbor list. Returns None for an empty
+    list so the caller can fall back to the plain model distribution."""
     if not neighbors:
         return None
     n = len(neighbors)
-    distances = np.fromiter((nb.distance for nb in neighbors), np.float64, n)
     values = np.fromiter((nb.value for nb in neighbors), np.intp, n)
-    # shift by the minimum distance: same normalized result, no underflow
-    weights = np.exp(-(distances - distances.min()) / T)
-    dist = np.bincount(values, weights=weights, minlength=vocab_size)
-    return dist / dist.sum()
+    distances = np.fromiter((nb.distance for nb in neighbors), np.float64, n)
+    return knn_distributions(values[None, :], distances[None, :], T, vocab_size)[0]
 
 
 def interpolate(p_model: np.ndarray, p_knn: np.ndarray, w: float) -> np.ndarray:
@@ -100,27 +119,6 @@ class _Hyp:
     states: tuple
 
 
-def _mix_rows(
-    store: Datastore,
-    rows: np.ndarray,
-    dists: np.ndarray,
-    p_model: np.ndarray,
-    cfg: DecodeConfig,
-) -> np.ndarray:
-    """knn_distribution plus interpolate for every beam row at once; row r
-    matches interpolate(p_model[r], knn_distribution(...), w) bit for bit."""
-    n, vocab = p_model.shape
-    d = dists.astype(np.float64)
-    weights = np.exp(-(d - d.min(axis=1, keepdims=True)) / cfg.T)
-    vals = store.values[rows].astype(np.intp)
-    flat = vals + vocab * np.arange(n, dtype=np.intp)[:, None]
-    p_knn = np.bincount(
-        flat.ravel(), weights=weights.ravel(), minlength=n * vocab
-    ).reshape(n, vocab)
-    p_knn /= p_knn.sum(axis=1, keepdims=True)
-    return cfg.w * p_knn + (1.0 - cfg.w) * p_model
-
-
 def _advance_all(
     models: Sequence[StepModel],
     stores: Sequence[Datastore | None],
@@ -132,9 +130,8 @@ def _advance_all(
     """One decoding step for every live hypothesis at once: model steps
     first, then a single batched retrieval per store covering the whole
     beam, then the distribution mixing. Returns (distribution, states)
-    aligned with `live`. Batching changes no arithmetic, only call shape;
-    IVF-indexed stores keep the per-hypothesis form because their scan
-    sets vary per query."""
+    aligned with `live`. A hypothesis whose retrieval found nothing keeps
+    its model distribution."""
     n_models = len(models)
     stepped = [
         [
@@ -147,38 +144,30 @@ def _advance_all(
         ]
         for hyp in live
     ]
-    neighbors: list[list[list[Neighbor]] | None] = [None] * n_models
     p_mixed: list[np.ndarray | None] = [None] * n_models
     for mi, store in enumerate(stores):
         if store is None or cfg.w <= 0.0:
             continue
         queries = np.stack([step[mi][0] for step in stepped])
-        if store.index is None:
-            rows, dists = store.search_batch_rows(
-                queries, cfg.k, exclude_talk=cfg.exclude_talk
+        rows, dists = store.search_batch_rows(
+            queries, cfg.k, exclude_talk=cfg.exclude_talk
+        )
+        found = (rows >= 0).any(axis=1)
+        if found.any():
+            # a slice when every row found something: views, not copies
+            sel = slice(None) if found.all() else found
+            p = np.stack([step[mi][1] for step in stepped])
+            p_knn = knn_distributions(
+                store.values[rows[sel]], dists[sel], cfg.T, p.shape[1]
             )
-            if rows.shape[1]:
-                p_model = np.stack([step[mi][1] for step in stepped])
-                p_mixed[mi] = _mix_rows(store, rows, dists, p_model, cfg)
-        else:
-            neighbors[mi] = store.search_batch(
-                queries, cfg.k, exclude_talk=cfg.exclude_talk
-            )
+            p[sel] = interpolate(p[sel], p_knn, cfg.w)
+            p_mixed[mi] = p
     out = []
     for hi, hyp in enumerate(live):
-        dists = []
-        for mi in range(n_models):
-            mixed = p_mixed[mi]
-            if mixed is not None:
-                dists.append(mixed[hi])
-                continue
-            p = stepped[hi][mi][1]
-            found = neighbors[mi]
-            if found is not None:
-                p_knn = knn_distribution(found[hi], cfg.T, len(p))
-                if p_knn is not None:
-                    p = interpolate(p, p_knn, cfg.w)
-            dists.append(p)
+        dists = [
+            stepped[hi][mi][1] if p_mixed[mi] is None else p_mixed[mi][hi]
+            for mi in range(n_models)
+        ]
         p_avg = dists[0] if len(dists) == 1 else np.mean(np.stack(dists), axis=0)
         if lm is not None and cfg.fusion_alpha > 0.0:
             p_avg = fuse_lm(p_avg, lm(hyp.tokens), cfg.fusion_alpha)

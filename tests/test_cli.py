@@ -6,6 +6,7 @@ import pytest
 
 from knnmt.cli import main
 from knnmt.core import Vocab, load_corpus
+from knnmt.datastore import load_datastore, save_datastore
 
 
 def sha(path):
@@ -289,6 +290,66 @@ class TestDecode:
         )
         assert code == 0
         assert (work / "hyps_ivf.jsonl").read_bytes() == (work / "hyps_flat.jsonl").read_bytes()
+
+    def test_ivf_index_of_another_store_is_data_error(self, work, capsys):
+        model, vocab = train_small(work)
+        talks_index = ["--ivf-clusters", "4", "--ivf-out", str(work / "talks.knni")]
+        for corpus, extra in (("talks", talks_index), ("train", [])):
+            code = main(
+                [
+                    "build-datastore",
+                    "--model", str(model),
+                    "--vocab", str(vocab),
+                    "--corpus", str(work / f"{corpus}.tsv"),
+                    "--out", str(work / f"{corpus}.knnd"),
+                    *extra,
+                ]
+            )
+            assert code == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "decode",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "hyps.jsonl"),
+                "--datastore", str(work / "train.knnd"),
+                "--ivf-index", str(work / "talks.knni"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: IVF index over" in err and "Traceback" not in err
+
+    def test_datastore_value_outside_vocabulary_is_data_error(self, work, capsys):
+        model, vocab = train_small(work)
+        code = main(
+            [
+                "build-datastore",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "talks.knnd"),
+            ]
+        )
+        assert code == 0
+        store = load_datastore(work / "talks.knnd")
+        store.values = store.values + len(Vocab.load(vocab))
+        save_datastore(store, work / "bad.knnd")
+        capsys.readouterr()
+        code = main(
+            [
+                "decode",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "hyps.jsonl"),
+                "--datastore", str(work / "bad.knnd"),
+            ]
+        )
+        assert code == 2
+        assert "outside the vocabulary" in capsys.readouterr().err
 
     def test_ivf_clusters_requires_ivf_out(self, work, capsys):
         model, vocab = train_small(work)

@@ -146,6 +146,27 @@ class TestQueryExact:
         assert got == oracle_indices(ds, base, 10)
 
 
+class TestNormCache:
+    def test_replaced_keys_are_searched(self):
+        ds = random_store(seed=39)
+        q = np.random.default_rng(40).normal(size=16).astype(np.float32)
+        query_exact(ds, q, 3)  # fills the cache from the first keys
+        keys = ds.keys.copy()
+        keys[150] = q
+        ds.keys = keys
+        got = query_exact(ds, q, 3)
+        assert got[0].index == 150 and got[0].distance == 0.0
+        assert [n.index for n in got] == oracle_indices(ds, q, 3)
+
+    def test_keys_cannot_be_written_in_place(self):
+        ds = random_store(seed=41)
+        with pytest.raises(ValueError):
+            ds.keys[150] = 0.0
+        ds.keys = ds.keys.copy()
+        with pytest.raises(ValueError):
+            ds.keys[0, 0] = 1.0
+
+
 class TestSearchBatch:
     def test_rows_match_single_queries_bitwise(self):
         ds = random_store(seed=25, dup_rows=3)
@@ -198,11 +219,26 @@ class TestSearchBatch:
             assert rows[b].tolist() == [n.index for n in found[b]]
             assert dists[b].tolist() == [n.distance for n in found[b]]
 
-    def test_rows_form_rejects_ivf_store(self):
-        ds = random_store(seed=34)
-        ds.index = train_ivf(ds, n_clusters=4, seed=0)
-        with pytest.raises(ValueError):
-            ds.search_batch_rows(np.zeros((2, 16), dtype=np.float32), 3)
+    def test_ivf_rows_form_matches_neighbor_form(self):
+        ds = random_store(seed=34, n=60, dup_rows=2)
+        ds.index = train_ivf(ds, n_clusters=8, seed=0, nprobe=1)
+        rng = np.random.default_rng(35)
+        Q = rng.normal(size=(9, 16)).astype(np.float32)
+        Q[2] = ds.keys[0]
+        rows, dists = ds.search_batch_rows(Q, 12, exclude_talk=1)
+        found = ds.search_batch(Q, 12, exclude_talk=1)
+        eligible = int((ds.talk_ids != 1).sum())
+        assert rows.shape == dists.shape == (9, min(12, eligible))
+        assert dists.dtype == np.float32
+        padded = 0
+        for b in range(9):
+            n = len(found[b])
+            assert rows[b, :n].tolist() == [nb.index for nb in found[b]]
+            assert dists[b, :n].tolist() == [nb.distance for nb in found[b]]
+            assert (rows[b, n:] == -1).all() and np.isposinf(dists[b, n:]).all()
+            assert (rows[b, :n] >= 0).all()  # padding only at the end
+            padded += rows.shape[1] - n
+        assert padded > 0  # one probed list of ~7 rows cannot fill 12 slots
 
 
 class TestIvf:
@@ -259,6 +295,26 @@ class TestIvf:
             query_ivf(ds, ds.keys[0], 4, nprobe=0)
         with pytest.raises(ValueError):
             query_ivf(ds, ds.keys[0], 4, nprobe=5)
+
+    def test_index_of_a_smaller_store_rejected(self):
+        # trained on 50 rows, its lists would hide rows 50..199
+        ds = random_store(seed=36)
+        ds.index = train_ivf(random_store(seed=36, n=50), n_clusters=4, seed=0, nprobe=4)
+        with pytest.raises(ValueError, match="50 rows"):
+            query_ivf(ds, ds.keys[150], 3)
+        with pytest.raises(ValueError, match="50 rows"):
+            ds.search_batch_rows(ds.keys[150:151], 3)
+
+    def test_index_of_a_larger_store_rejected(self):
+        ds = random_store(seed=37, n=50)
+        ds.index = train_ivf(random_store(seed=37), n_clusters=4, seed=0, nprobe=4)
+        with pytest.raises(ValueError, match="200 rows"):
+            query_ivf(ds, ds.keys[3], 3)
+
+    def test_index_records_partitioned_row_count(self, tmp_path):
+        ds = random_store(seed=38)
+        save_ivf(train_ivf(ds, n_clusters=5, seed=0), tmp_path / "s.knni")
+        assert load_ivf(tmp_path / "s.knni").n_rows == len(ds)
 
     def test_search_dispatches_on_index(self):
         ds = random_store(seed=18)

@@ -42,6 +42,10 @@ class TestKnnDistribution:
     def test_empty_neighbors_signal_no_retrieval(self):
         assert knn_distribution([], T=50.0, vocab_size=8) is None
 
+    def test_token_outside_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="vocabulary"):
+            knn_distribution([nb(2, 0.0), nb(8, 1.0)], T=10.0, vocab_size=8)
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -216,6 +220,15 @@ class TestBeamDecode:
         )
         with pytest.raises(ValueError):
             beam_decode(model, bad, corpus.pairs[0].source, DecodeConfig(w=0.3))
+
+
+    def test_datastore_value_outside_vocabulary_rejected(self, trained):
+        model, corpus = trained
+        ds = build(model, corpus)
+        ds.values = np.full(len(ds), 14, dtype=np.uint32)  # vocabulary has 14 ids
+        for beam in (1, 4):
+            with pytest.raises(ValueError, match="vocabulary"):
+                beam_decode(model, ds, corpus.pairs[0].source, DecodeConfig(w=0.3, beam=beam))
 
 
 class TestDecodeConfig:
