@@ -17,9 +17,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import struct
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +36,7 @@ from .core import (
     tokenize,
     write_corpus,
 )
-from .datastore import build, load_datastore, load_ivf, save_datastore, save_ivf, train_ivf
+from .datastore import build, check_index, load_datastore, load_ivf, save_datastore, save_ivf, train_ivf
 from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode, grid_search
 from .metrics import bleu, corpus_wer
 from .ngram import LmInterpConfig, lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
@@ -133,7 +135,23 @@ def _load_stores(ns, models: Sequence[RefModel]):
             raise _UsageError("--ivf-index count must match --datastore count")
         for store, path in zip(stores, ns.ivf_index):
             store.index = load_ivf(path)
+            check_index(store)  # refuse another store's index before any output
     return stores
+
+
+@contextmanager
+def _replacing(path: str):
+    """A text file written beside `path` under a temporary name and moved
+    over it only when the block completes, so a failed run leaves neither
+    a partial file nor a changed one."""
+    out = Path(path)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_lm(ns, vocab: Vocab):
@@ -283,7 +301,7 @@ def _cmd_decode(ns) -> int:
         "fusion_alpha": cfg.fusion_alpha,
         "exclude_talk": cfg.exclude_talk,
     }
-    with open(ns.out, "w", encoding="utf-8") as fh:
+    with _replacing(ns.out) as fh:
         for i, pair in enumerate(corpus):
             hyp, score = beam_decode(models, stores, pair.source, cfg, lm=lm)
             record = {

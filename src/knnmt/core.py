@@ -19,6 +19,15 @@ class CorpusError(ValueError):
     """Malformed corpus file or inconsistent corpus arguments."""
 
 
+def check_file_size(path: str | Path, actual: int, expected: int, at_least: bool = False) -> None:
+    """Refuse a binary file of `actual` bytes whose header implies
+    `expected` (with `at_least`, a lower bound known before the rest is
+    read): a truncated file or one with trailing bytes is not loaded."""
+    if actual < expected or (actual != expected and not at_least):
+        bound = "at least " if at_least else ""
+        raise ValueError(f"{path}: header implies {bound}{expected} bytes, file has {actual}")
+
+
 def is_punctuation(token: str) -> bool:
     """True if every character is in a Unicode P* category."""
     return len(token) > 0 and all(

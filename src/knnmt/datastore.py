@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus
+from .core import BOS_ID, EOS_ID, ParallelCorpus, check_file_size
 from .refmodel import StepModel
 
 DATASTORE_MAGIC = b"KNND"
@@ -331,6 +331,39 @@ def query_exact_batch_rows(
     return _refine_batch(ds, Q, d2a, take, qq, max_norm, excluded is not None)
 
 
+# Rows that k-means widens to float64 and scores against the centroids at
+# once. A fixed size, not a flag: memory stays O(N*dim + chunk*C) at any N.
+_KMEANS_CHUNK = 4096
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) blocks of _KMEANS_CHUNK rows, the last also taking the
+    remainder. BLAS may sum a row's dot products in another order when a
+    product holds few rows (OpenBLAS switches to a small-matrix kernel, and
+    numpy sends a one-row product to gemv), so no block is shorter than a
+    chunk unless the store is, and every block starts on a chunk multiple:
+    each block then gets the bits the full N-row product would give it.
+    (With one centroid numpy uses gemv whatever the rows, but then every
+    row is assigned to it and no cluster empties, so no bit is read.)"""
+    starts = range(0, max(n - _KMEANS_CHUNK, 0) + 1, _KMEANS_CHUNK)
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def _mean_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """keys[rows].astype(float64).mean(axis=0), bit for bit, widening at
+    most _KMEANS_CHUNK rows at a time. Over two or more columns numpy sums
+    axis 0 one row after another, so a running total put in front of the
+    next block continues the same sequence; a single column is summed
+    pairwise, which needs all of it at once (8 bytes a row, like the norms)."""
+    if len(rows) <= _KMEANS_CHUNK or keys.shape[1] == 1:
+        return keys[rows].astype(np.float64).mean(axis=0)
+    total = keys[rows[:_KMEANS_CHUNK]].astype(np.float64).sum(axis=0)
+    for start in range(_KMEANS_CHUNK, len(rows), _KMEANS_CHUNK):
+        block = keys[rows[start : start + _KMEANS_CHUNK]]
+        total = np.vstack((total, block)).sum(axis=0)
+    return total / len(rows)
+
+
 def train_ivf(
     ds: Datastore,
     n_clusters: int,
@@ -340,44 +373,72 @@ def train_ivf(
 ) -> IvfIndex:
     """Lloyd k-means over the keys, initialized from distinct random rows.
     A cluster that empties is reseeded on the point currently farthest from
-    its centroid. Stops early once assignments stop changing."""
+    its centroid, the first such row winning a tie. Stops early once
+    assignments stop changing.
+
+    Distances |k|^2 - 2 k.c + |c|^2 are taken in float64 one block of rows
+    at a time, so no N x C matrix and no float64 copy of the keys is held.
+    Scaling by -2 is exact and (-2 k.c) + |k|^2 rounds like |k|^2 - 2 k.c,
+    so each block holds the same bits as the matching rows of the full
+    matrix, and the index is bit-for-bit deterministic for a seed."""
     n = len(ds)
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    keys = ds.keys.astype(np.float64)
+    keys = ds.keys
+    blocks = _row_blocks(n)
+    kk = np.empty(n)
+    for lo, hi in blocks:
+        kk[lo:hi] = (keys[lo:hi].astype(np.float64) ** 2).sum(axis=1)
     rng = np.random.default_rng(seed)
-    centroids = keys[rng.choice(n, size=n_clusters, replace=False)].copy()
+    centroids = keys[rng.choice(n, size=n_clusters, replace=False)].astype(np.float64)
     assign = np.full(n, -1)
+    dist_own = np.empty(n)  # each row's distance to its nearest centroid
     for _ in range(iterations):
-        d2 = (
-            (keys**2).sum(axis=1)[:, None]
-            - 2.0 * keys @ centroids.T
-            + (centroids**2).sum(axis=1)[None, :]
-        )
-        new_assign = d2.argmin(axis=1)
+        neg2_ct = (-2.0 * centroids).T
+        cc = (centroids**2).sum(axis=1)
+        new_assign = np.empty(n, dtype=np.intp)
+        for lo, hi in blocks:
+            d2 = keys[lo:hi].astype(np.float64) @ neg2_ct
+            d2 += kk[lo:hi, None]
+            d2 += cc
+            own = d2.argmin(axis=1)
+            new_assign[lo:hi] = own
+            dist_own[lo:hi] = d2[np.arange(hi - lo), own]
         if (new_assign == assign).all():
             break
         assign = new_assign
-        dist_own = d2[np.arange(n), assign]
-        used: set[int] = set()
-        for c in range(n_clusters):
-            members = assign == c
-            if members.any():
-                centroids[c] = keys[members].mean(axis=0)
-            else:
-                far = np.where(
-                    np.isin(np.arange(n), list(used)), -np.inf, dist_own
-                ).argmax()
-                centroids[c] = keys[far]
-                used.add(int(far))
-    lists = [
-        np.flatnonzero(assign == c).astype(np.int64) for c in range(n_clusters)
-    ]
+        # one stable sort gives every cluster its rows in ascending order
+        order = np.argsort(assign, kind="stable")
+        lists = np.split(order, np.cumsum(np.bincount(assign, minlength=n_clusters))[:-1])
+        free = None
+        for c, rows in enumerate(lists):
+            if len(rows):
+                centroids[c] = _mean_rows(keys, rows)
+                continue
+            if free is None:  # rows not yet taken by a reseed
+                free = dist_own.copy()
+            far = int(free.argmax())
+            free[far] = -np.inf
+            centroids[c] = keys[far]
     return IvfIndex(
         centroids=centroids.astype(np.float32), lists=lists, nprobe=nprobe
     )
+
+
+def check_index(ds: Datastore) -> IvfIndex:
+    """The store's IVF index, refused unless its lists partition exactly
+    the store's rows and its centroids have the store's dim."""
+    idx = ds.index
+    if idx is None:
+        raise ValueError("datastore has no IVF index; call train_ivf first")
+    if idx.n_rows != len(ds) or idx.centroids.shape[1] != ds.dim:
+        raise ValueError(
+            f"IVF index over {idx.n_rows} rows of dim {idx.centroids.shape[1]} "
+            f"does not match a datastore of {len(ds)} rows of dim {ds.dim}"
+        )
+    return idx
 
 
 def query_ivf(
@@ -404,14 +465,7 @@ def query_ivf_rows(
     set, ordering and tie rules match exact search, and slots it cannot
     fill hold row -1 and distance +inf. nprobe equal to the cluster count
     reproduces exact search results."""
-    idx = ds.index
-    if idx is None:
-        raise ValueError("datastore has no IVF index; call train_ivf first")
-    if idx.n_rows != len(ds) or idx.centroids.shape[1] != ds.dim:
-        raise ValueError(
-            f"IVF index over {idx.n_rows} rows of dim {idx.centroids.shape[1]} "
-            f"does not match a datastore of {len(ds)} rows of dim {ds.dim}"
-        )
+    idx = check_index(ds)
     Q = _check_queries(ds, queries, k)
     probes = idx.nprobe if nprobe is None else nprobe
     if probes < 1 or probes > idx.n_clusters:
@@ -436,24 +490,26 @@ def query_ivf_rows(
 
 def save_datastore(ds: Datastore, path: str | Path) -> None:
     """Little-endian binary layout: magic, version, dim (u32), count (u64),
-    then keys as float32, values as uint32, talk ids as uint32."""
-    out = bytearray()
-    out += DATASTORE_MAGIC
-    out += struct.pack("<IIQ", FORMAT_VERSION, ds.dim, len(ds))
-    out += np.ascontiguousarray(ds.keys, dtype="<f4").tobytes()
-    out += np.ascontiguousarray(ds.values, dtype="<u4").tobytes()
-    out += np.ascontiguousarray(ds.talk_ids, dtype="<u4").tobytes()
-    Path(path).write_bytes(bytes(out))
+    then keys as float32, values as uint32, talk ids as uint32. Each array
+    goes straight from memory to the file."""
+    with open(path, "wb") as fh:
+        fh.write(DATASTORE_MAGIC)
+        fh.write(struct.pack("<IIQ", FORMAT_VERSION, ds.dim, len(ds)))
+        fh.write(np.ascontiguousarray(ds.keys, dtype="<f4"))
+        fh.write(np.ascontiguousarray(ds.values, dtype="<u4"))
+        fh.write(np.ascontiguousarray(ds.talk_ids, dtype="<u4"))
 
 
 def load_datastore(path: str | Path) -> Datastore:
     blob = Path(path).read_bytes()
     if blob[:4] != DATASTORE_MAGIC:
         raise ValueError(f"{path}: not a datastore file")
+    offset = 4 + 16
+    check_file_size(path, len(blob), offset, at_least=True)
     version, dim, count = struct.unpack_from("<IIQ", blob, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported datastore version {version}")
-    offset = 4 + 16
+    check_file_size(path, len(blob), offset + count * (dim + 2) * 4)
     keys = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=offset)
     offset += count * dim * 4
     values = np.frombuffer(blob, dtype="<u4", count=count, offset=offset)
@@ -471,35 +527,38 @@ def save_ivf(index: IvfIndex, path: str | Path) -> None:
     """Magic, version, dim, n_clusters, nprobe (u32), centroids as float32,
     then per cluster a u64 length and u64 row indices."""
     dim = index.centroids.shape[1]
-    out = bytearray()
-    out += IVF_MAGIC
-    out += struct.pack("<4I", FORMAT_VERSION, dim, index.n_clusters, index.nprobe)
-    out += np.ascontiguousarray(index.centroids, dtype="<f4").tobytes()
-    for lst in index.lists:
-        out += struct.pack("<Q", len(lst))
-        out += np.ascontiguousarray(lst, dtype="<u8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    with open(path, "wb") as fh:
+        fh.write(IVF_MAGIC)
+        fh.write(struct.pack("<4I", FORMAT_VERSION, dim, index.n_clusters, index.nprobe))
+        fh.write(np.ascontiguousarray(index.centroids, dtype="<f4"))
+        for lst in index.lists:
+            fh.write(struct.pack("<Q", len(lst)))
+            fh.write(np.ascontiguousarray(lst, dtype="<u8"))
 
 
 def load_ivf(path: str | Path) -> IvfIndex:
     blob = Path(path).read_bytes()
     if blob[:4] != IVF_MAGIC:
         raise ValueError(f"{path}: not an IVF index file")
+    offset = 4 + 16
+    check_file_size(path, len(blob), offset, at_least=True)
     version, dim, n_clusters, nprobe = struct.unpack_from("<4I", blob, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported index version {version}")
-    offset = 4 + 16
-    centroids = np.frombuffer(blob, dtype="<f4", count=n_clusters * dim, offset=offset)
     offset += n_clusters * dim * 4
-    lists = []
+    spans = []  # (start, length) of each posting list
     for _ in range(n_clusters):
+        check_file_size(path, len(blob), offset + 8, at_least=True)
         (length,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        lst = np.frombuffer(blob, dtype="<u8", count=length, offset=offset)
-        offset += length * 8
-        lists.append(lst.astype(np.int64))
+        spans.append((offset + 8, length))
+        offset += 8 + length * 8
+    check_file_size(path, len(blob), offset)
+    centroids = np.frombuffer(blob, dtype="<f4", count=n_clusters * dim, offset=4 + 16)
     return IvfIndex(
         centroids=centroids.reshape(n_clusters, dim).copy(),
-        lists=lists,
+        lists=[
+            np.frombuffer(blob, dtype="<u8", count=length, offset=start).astype(np.int64)
+            for start, length in spans
+        ],
         nprobe=nprobe,
     )

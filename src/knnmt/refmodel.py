@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair
+from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair, check_file_size
 
 BASE_PARAM_NAMES = ("E", "W_c", "W_y", "W_h", "b", "U", "b_o")
 CHECKPOINT_MAGIC = b"RMDL"
@@ -390,41 +390,50 @@ def base_param_checksum(model: RefModel) -> str:
 
 def save_checkpoint(model: RefModel, path: str | Path) -> None:
     """Binary checkpoint: magic, version, dims, base arrays as little-endian
-    float64 row-major, then tagged adapter blocks sorted by tag."""
+    float64 row-major, then tagged adapter blocks sorted by tag. Each array
+    goes straight from memory to the file."""
     p = model.params
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack(
-        "<5I", CHECKPOINT_VERSION, p.embed_dim, p.hidden_dim, p.vocab_size,
-        model.adapter_rank,
-    )
-    for name in BASE_PARAM_NAMES:
-        out += np.ascontiguousarray(getattr(p, name), dtype="<f8").tobytes()
-    out += struct.pack("<I", len(model.adapters))
-    for tag in sorted(model.adapters):
-        adapter = model.adapters[tag]
-        raw = tag.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw
-        out += np.ascontiguousarray(adapter.W_down, dtype="<f8").tobytes()
-        out += np.ascontiguousarray(adapter.W_up, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack(
+            "<5I", CHECKPOINT_VERSION, p.embed_dim, p.hidden_dim, p.vocab_size,
+            model.adapter_rank,
+        ))
+        for name in BASE_PARAM_NAMES:
+            fh.write(np.ascontiguousarray(getattr(p, name), dtype="<f8"))
+        fh.write(struct.pack("<I", len(model.adapters)))
+        for tag in sorted(model.adapters):
+            adapter = model.adapters[tag]
+            raw = tag.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)) + raw)
+            fh.write(np.ascontiguousarray(adapter.W_down, dtype="<f8"))
+            fh.write(np.ascontiguousarray(adapter.W_up, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> RefModel:
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
+    offset = 4 + 20
+    check_file_size(path, len(blob), offset, at_least=True)
     version, d_e, d, v, rank = struct.unpack_from("<5I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 4 + 20
+
+    def take_bytes(size: int) -> int:
+        """Offset of the next `size` bytes, once the file is known to hold them."""
+        nonlocal offset
+        check_file_size(path, len(blob), offset + size, at_least=True)
+        offset += size
+        return offset - size
 
     def take(*shape: int) -> np.ndarray:
-        nonlocal offset
         size = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += size * 8
-        return arr.reshape(shape).copy()
+        at = take_bytes(size * 8)
+        return np.frombuffer(blob, dtype="<f8", count=size, offset=at).reshape(shape).copy()
+
+    def take_u32() -> int:
+        return struct.unpack_from("<I", blob, take_bytes(4))[0]
 
     params = RefModelParams(
         E=take(v, d_e),
@@ -436,12 +445,10 @@ def load_checkpoint(path: str | Path) -> RefModel:
         b_o=take(v),
     )
     model = RefModel(params, adapter_rank=rank)
-    (n_adapters,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    for _ in range(n_adapters):
-        (tag_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        tag = blob[offset : offset + tag_len].decode("utf-8")
-        offset += tag_len
+    for _ in range(take_u32()):
+        tag_len = take_u32()
+        at = take_bytes(tag_len)
+        tag = blob[at : at + tag_len].decode("utf-8")
         model.adapters[tag] = AdapterParams(W_down=take(rank, d), W_up=take(d, rank))
+    check_file_size(path, len(blob), offset)
     return model

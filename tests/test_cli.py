@@ -307,20 +307,23 @@ class TestDecode:
             )
             assert code == 0
         capsys.readouterr()
-        code = main(
-            [
-                "decode",
-                "--model", str(model),
-                "--vocab", str(vocab),
-                "--corpus", str(work / "talks.tsv"),
-                "--out", str(work / "hyps.jsonl"),
-                "--datastore", str(work / "train.knnd"),
-                "--ivf-index", str(work / "talks.knni"),
-            ]
-        )
-        assert code == 2
+        files = sorted(work.iterdir())
+        decode = [
+            "decode",
+            "--model", str(model),
+            "--vocab", str(vocab),
+            "--corpus", str(work / "talks.tsv"),
+            "--out", str(work / "hyps.jsonl"),
+            "--datastore", str(work / "train.knnd"),
+            "--ivf-index", str(work / "talks.knni"),
+        ]
+        assert main(decode) == 2
         err = capsys.readouterr().err
         assert "error: IVF index over" in err and "Traceback" not in err
+        assert sorted(work.iterdir()) == files  # no --out, no temporary file
+        (work / "hyps.jsonl").write_text("an earlier run\n")
+        assert main(decode) == 2
+        assert (work / "hyps.jsonl").read_text() == "an earlier run\n"
 
     def test_datastore_value_outside_vocabulary_is_data_error(self, work, capsys):
         model, vocab = train_small(work)
@@ -350,6 +353,8 @@ class TestDecode:
         )
         assert code == 2
         assert "outside the vocabulary" in capsys.readouterr().err
+        # the error comes mid-decode; the partial output is removed
+        assert not any(p.name.startswith((".hyps.jsonl", "hyps.jsonl")) for p in work.iterdir())
 
     def test_ivf_clusters_requires_ivf_out(self, work, capsys):
         model, vocab = train_small(work)
@@ -537,3 +542,44 @@ class TestOtherCommands:
             ]
         )
         assert code == 2
+
+
+class TestFileLengths:
+    """A checkpoint, datastore or IVF index one byte short or one byte long
+    is a data error naming the file and both sizes, before any output."""
+
+    @pytest.mark.parametrize("kind", ["model", "datastore", "ivf-index"])
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_decode_refuses_wrong_length(self, work, capsys, kind, cut):
+        model, vocab = train_small(work)
+        code = main(
+            [
+                "build-datastore",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "talks.knnd"),
+                "--ivf-clusters", "2",
+                "--ivf-out", str(work / "talks.knni"),
+            ]
+        )
+        assert code == 0
+        paths = {"model": model, "datastore": work / "talks.knnd", "ivf-index": work / "talks.knni"}
+        blob = paths[kind].read_bytes()
+        paths[kind].write_bytes(blob[:cut] if cut < 0 else blob + b"\x00")
+        capsys.readouterr()
+        code = main(
+            [
+                "decode",
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "hyps.jsonl"),
+                *[f"--{k}={p}" for k, p in paths.items()],
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {paths[kind]}: header implies" in err
+        assert f"{len(blob)} bytes, file has {len(blob) + cut}" in err
+        assert "Traceback" not in err
+        assert not (work / "hyps.jsonl").exists()

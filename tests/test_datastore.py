@@ -1,6 +1,10 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import knnmt.datastore
 from knnmt.core import EOS_ID, BOS_ID, Sentence
 from knnmt.datastore import (
     Datastore,
@@ -15,6 +19,7 @@ from knnmt.datastore import (
 )
 from knnmt.refmodel import RefModel, init_params
 from helpers import make_corpus, random_corpus
+from kmeans_reference import train_ivf as reference_train_ivf
 
 
 def random_store(seed=0, n=200, dim=16, n_talks=4, dup_rows=0):
@@ -325,6 +330,132 @@ class TestIvf:
         assert ds.search(q, 4) == flat  # full probe count stays exact
 
 
+def duplicate_store(seed, n, dim, n_distinct):
+    """Keys drawn from a few integer rows: many exact ties and, with more
+    clusters than distinct keys, clusters that empty and are reseeded."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(-3, 4, size=(n_distinct, dim))
+    keys = distinct[rng.integers(0, n_distinct, size=n)].astype(np.float32)
+    return Datastore(
+        dim=dim,
+        keys=keys,
+        values=np.zeros(n, dtype=np.uint32),
+        talk_ids=np.zeros(n, dtype=np.uint32),
+    )
+
+
+def assert_same_index(got, want):
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert len(got.lists) == len(want.lists)
+    for g, w in zip(got.lists, want.lists):
+        assert g.dtype == np.int64 and g.tolist() == w.tolist()
+    assert got.nprobe == want.nprobe
+
+
+class TestChunkedKmeans:
+    """train_ivf scores rows in blocks; the full-matrix reference it
+    replaced must come out bit for bit the same."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_store_smaller_than_one_chunk(self, seed):
+        ds = random_store(seed=40 + seed, n=300, dim=12)
+        for iterations in (1, 4, 25):
+            assert_same_index(
+                train_ivf(ds, 16, iterations, seed, nprobe=2),
+                reference_train_ivf(ds, 16, iterations, seed, nprobe=2),
+            )
+
+    @pytest.mark.parametrize("n", [64 * 5 + 37, 64 * 3 + 1, 64 * 4])
+    def test_several_chunks_with_a_remainder(self, monkeypatch, n):
+        monkeypatch.setattr(knnmt.datastore, "_KMEANS_CHUNK", 64)
+        ds = random_store(seed=n, n=n, dim=9)
+        assert_same_index(train_ivf(ds, 12, 10, 3), reference_train_ivf(ds, 12, 10, 3))
+
+    def test_remainder_at_full_chunk_size(self):
+        # a 5-row tail product would leave BLAS's large-matrix kernel
+        n = 2 * knnmt.datastore._KMEANS_CHUNK + 5
+        ds = random_store(seed=44, n=n, dim=40)
+        assert_same_index(train_ivf(ds, 3, 6, 1), reference_train_ivf(ds, 3, 6, 1))
+
+    @pytest.mark.parametrize("dup", [False, True])
+    def test_one_cluster_per_row(self, dup):
+        ds = duplicate_store(45, 30, 3, 5) if dup else random_store(seed=45, n=30, dim=3)
+        assert_same_index(train_ivf(ds, 30, 5, 0), reference_train_ivf(ds, 30, 5, 0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_empty_clusters_reseeded_alike(self, monkeypatch, dim):
+        monkeypatch.setattr(knnmt.datastore, "_KMEANS_CHUNK", 16)
+        ds = duplicate_store(46 + dim, 150, dim, 3)
+        for seed in range(5):
+            got = train_ivf(ds, 9, 8, seed)
+            assert_same_index(got, reference_train_ivf(ds, 9, 8, seed))
+        # at most 3 distinct keys can hold members, so 6 lists stay empty
+        assert sum(len(lst) == 0 for lst in got.lists) >= 6
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_cluster_spanning_many_blocks(self, monkeypatch, dim):
+        # one cluster's mean is carried across blocks of widened rows
+        monkeypatch.setattr(knnmt.datastore, "_KMEANS_CHUNK", 8)
+        ds = random_store(seed=47, n=203, dim=dim)
+        for n_clusters in (1, 2):
+            assert_same_index(
+                train_ivf(ds, n_clusters, 4, 0), reference_train_ivf(ds, n_clusters, 4, 0)
+            )
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_block_carried_mean_equals_one_mean(self, monkeypatch, dim):
+        monkeypatch.setattr(knnmt.datastore, "_KMEANS_CHUNK", 8)
+        rng = np.random.default_rng(dim)
+        # float32 keys within a narrow range sum exactly in float64 in any
+        # order; a 2^80 spread makes the order show in the bits
+        scale = 2.0 ** rng.integers(-40, 41, size=(500, 1))
+        keys = (rng.normal(size=(500, dim)) * scale).astype(np.float32)
+        for size in (1, 8, 9, 17, 250, 500):
+            rows = np.sort(rng.choice(500, size=size, replace=False))
+            want = keys[rows].astype(np.float64).mean(axis=0)
+            assert knnmt.datastore._mean_rows(keys, rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 40])
+    def test_row_blocks_cover_rows_in_full_chunks(self, monkeypatch, n):
+        monkeypatch.setattr(knnmt.datastore, "_KMEANS_CHUNK", 8)
+        blocks = knnmt.datastore._row_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+        assert all(lo % 8 == 0 for lo, _ in blocks)
+        assert all(8 <= hi - lo < 16 for lo, hi in blocks) or blocks == [(0, n)]
+
+    def test_memory_stays_below_one_distance_matrix(self):
+        n, dim, n_clusters = 20_000, 16, 64
+        ds = random_store(seed=48, n=n, dim=dim)
+        tracemalloc.start()
+        try:
+            train_ivf(ds, n_clusters, iterations=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_clusters * 8  # 10.24 MB, one float64 N x C matrix
+
+
+def datastore_layout(ds):
+    """The datastore file as the format defines it, built in memory."""
+    return (
+        b"KNND"
+        + struct.pack("<IIQ", 1, ds.dim, len(ds))
+        + ds.keys.astype("<f4").tobytes()
+        + ds.values.astype("<u4").tobytes()
+        + ds.talk_ids.astype("<u4").tobytes()
+    )
+
+
+def ivf_layout(index):
+    """The IVF file as the format defines it, built in memory."""
+    out = b"KNNI" + struct.pack("<4I", 1, index.centroids.shape[1], index.n_clusters, index.nprobe)
+    out += index.centroids.astype("<f4").tobytes()
+    for lst in index.lists:
+        out += struct.pack("<Q", len(lst)) + lst.astype("<u8").tobytes()
+    return out
+
+
 class TestSerialization:
     def test_datastore_round_trip(self, tmp_path):
         ds = random_store(seed=20)
@@ -370,3 +501,45 @@ class TestSerialization:
         assert ds.keys.dtype == np.float32
         save_datastore(ds, tmp_path / "s.knnd")
         assert load_datastore(tmp_path / "s.knnd").keys.dtype == np.float32
+
+    def test_streamed_files_keep_the_layout(self, tmp_path):
+        ds = random_store(seed=49, dup_rows=3)
+        # 3 distinct keys over 7 clusters: the last iteration leaves empty lists
+        index = train_ivf(duplicate_store(49, 40, 16, 3), n_clusters=7, iterations=1, seed=0, nprobe=2)
+        assert any(len(lst) == 0 for lst in index.lists)
+        save_datastore(ds, tmp_path / "s.knnd")
+        save_ivf(index, tmp_path / "s.knni")
+        assert (tmp_path / "s.knnd").read_bytes() == datastore_layout(ds)
+        assert (tmp_path / "s.knni").read_bytes() == ivf_layout(index)
+
+    @pytest.mark.parametrize("kind", ["datastore", "ivf"])
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_wrong_length_rejected(self, tmp_path, kind, cut):
+        ds = random_store(seed=50)
+        path = tmp_path / "s.bin"
+        if kind == "datastore":
+            save_datastore(ds, path)
+            load = load_datastore
+        else:
+            save_ivf(train_ivf(ds, n_clusters=4, seed=0), path)
+            load = load_ivf
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut] if cut < 0 else blob + b"\x00")
+        size = len(blob)
+        with pytest.raises(ValueError, match=f"s.bin: header implies {size} bytes, file has {size + cut}"):
+            load(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "s.knnd"
+        save_datastore(random_store(seed=51), path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match="at least 20 bytes, file has 10"):
+            load_datastore(path)
+
+    def test_ivf_cut_inside_the_lists_rejected(self, tmp_path):
+        path = tmp_path / "s.knni"
+        save_ivf(train_ivf(random_store(seed=52), n_clusters=4, seed=0), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: 20 + 4 * 16 * 4 + 4])  # half a length field
+        with pytest.raises(ValueError, match=f"at least {20 + 4 * 16 * 4 + 8} bytes"):
+            load_ivf(path)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -239,4 +241,36 @@ class TestCheckpoint:
         path = tmp_path / "junk.rmdl"
         path.write_bytes(b"JUNK" + b"\x00" * 64)
         with pytest.raises(ValueError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    def test_streamed_file_keeps_the_layout(self, tmp_path):
+        model = fresh_model(seed=9, rank=3)
+        model.add_adapter("talks", seed=1)
+        model.add_adapter("news", seed=2)
+        p = model.params
+        want = b"RMDL" + struct.pack("<5I", 1, p.embed_dim, p.hidden_dim, p.vocab_size, 3)
+        for name in BASE_PARAM_NAMES:
+            want += getattr(p, name).astype("<f8").tobytes()
+        want += struct.pack("<I", 2)
+        for tag in ("news", "talks"):
+            want += struct.pack("<I", len(tag)) + tag.encode()
+            want += model.adapters[tag].W_down.astype("<f8").tobytes()
+            want += model.adapters[tag].W_up.astype("<f8").tobytes()
+        save_checkpoint(model, tmp_path / "m.rmdl")
+        assert (tmp_path / "m.rmdl").read_bytes() == want
+
+    @pytest.mark.parametrize("adapters", [(), ("news",)])
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_wrong_length_rejected(self, tmp_path, adapters, cut):
+        model = fresh_model(seed=10)
+        for tag in adapters:
+            model.add_adapter(tag)
+        path = tmp_path / "m.rmdl"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut] if cut < 0 else blob + b"\x00")
+        bound = "at least " if cut < 0 else ""  # a short file fails at its last field
+        with pytest.raises(
+            ValueError, match=f"m.rmdl: header implies {bound}{len(blob)} bytes, file has {len(blob) + cut}"
+        ):
             load_checkpoint(path)

@@ -1,12 +1,17 @@
 """Property tests of the one retrieval shape: every search answers in
-(rows, distances), and one function turns those into p_knn."""
+(rows, distances), and one function turns those into p_knn; and of the
+chunked k-means behind the IVF index."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knnmt.datastore
 from knnmt.datastore import Datastore, train_ivf
 from knnmt.decode import knn_distribution, knn_distributions
+from kmeans_reference import train_ivf as reference_train_ivf
 
 VOCAB = 12
 
@@ -99,3 +104,42 @@ def test_neighbor_list_distribution_equals_batched_row(case, T, with_index):
         batched = knn_distributions(ds.values[rows[found]], dists[found], T, VOCAB)
         singles = [knn_distribution(nbs, T, VOCAB) for nbs in lists if nbs]
         assert [p.tobytes() for p in singles] == [p.tobytes() for p in batched]
+
+
+@st.composite
+def kmeans_cases(draw):
+    """A store of random size and dim whose keys are either continuous or
+    copies of a few integer rows (ties, empty clusters), a cluster count up
+    to one per row, and a block size that splits the rows unevenly."""
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        distinct = rng.integers(-3, 4, size=(draw(st.integers(1, n)), dim))
+        keys = distinct[rng.integers(0, len(distinct), size=n)].astype(np.float32)
+    else:
+        keys = rng.normal(size=(n, dim)).astype(np.float32)
+    ds = Datastore(
+        dim=dim,
+        keys=keys,
+        values=np.zeros(n, dtype=np.uint32),
+        talk_ids=np.zeros(n, dtype=np.uint32),
+    )
+    return (
+        ds,
+        draw(st.integers(1, n)),
+        draw(st.integers(1, 12)),
+        draw(st.integers(0, 50)),
+        draw(st.integers(2, 64)),  # a one-row block would go to gemv
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(kmeans_cases())
+def test_chunked_kmeans_equals_full_matrix_reference(case):
+    ds, n_clusters, iterations, seed, chunk = case
+    want = reference_train_ivf(ds, n_clusters, iterations, seed)
+    with mock.patch.object(knnmt.datastore, "_KMEANS_CHUNK", chunk):
+        got = train_ivf(ds, n_clusters, iterations, seed)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert [lst.tolist() for lst in got.lists] == [lst.tolist() for lst in want.lists]
