@@ -22,7 +22,7 @@ import struct
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +41,7 @@ from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode, g
 from .metrics import bleu, corpus_wer
 from .ngram import LmInterpConfig, lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
 from .pipeline import DiversifyConfig, diversify, leave_one_out_eval
-from .refmodel import RefModel, TrainConfig, init_params, load_checkpoint, save_checkpoint, train
+from .refmodel import RefModel, TrainConfig, TrainStats, init_params, load_checkpoint, save_checkpoint, train
 
 
 class _UsageError(Exception):
@@ -63,9 +63,12 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _finish(ns, command: str, config: dict, inputs: dict, outputs: dict, t0: float) -> None:
+def _finish(
+    ns, command: str, config: dict, inputs: dict, outputs: dict, t0: float, stats: dict | None = None
+) -> None:
     """Emit the run manifest: always one JSON line on stderr, plus a copy
-    at --manifest when given. Checksums cover every written artifact."""
+    at --manifest when given. Checksums cover every written artifact;
+    `stats`, when given, reports how the run went."""
     manifest = {
         "command": command,
         "config": config,
@@ -75,6 +78,8 @@ def _finish(ns, command: str, config: dict, inputs: dict, outputs: dict, t0: flo
         "duration_s": round(time.perf_counter() - t0, 3),
         "checksums": {p: _sha256(p) for p in outputs.values()},
     }
+    if stats is not None:
+        manifest["stats"] = stats
     line = json.dumps(manifest, sort_keys=True)
     print(line, file=sys.stderr)
     if getattr(ns, "manifest", None):
@@ -140,18 +145,18 @@ def _load_stores(ns, models: Sequence[RefModel]):
 
 
 @contextmanager
-def _replacing(path: str):
-    """A text file written beside `path` under a temporary name and moved
-    over it only when the block completes, so a failed run leaves neither
-    a partial file nor a changed one."""
-    out = Path(path)
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+def _replacing(*paths: str):
+    """Temporary names beside `paths`, each moved over its path only when
+    the block completes, so a failed run leaves neither a partial file nor
+    a changed one."""
+    tmps = [Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp") for p in paths]
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, out)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _load_lm(ns, vocab: Vocab):
@@ -176,6 +181,12 @@ def _decode_config(ns) -> DecodeConfig:
         fusion_alpha=getattr(ns, "fusion_alpha", 0.0),
         exclude_talk=getattr(ns, "exclude_talk", None),
     )
+
+
+_TRAIN_MANIFEST_FLAGS = (
+    "lr", "epochs", "batch_size", "clip", "adapters_only", "adapter_tag", "lang",
+    "embed_dim", "hidden_dim", "adapter_rank", "max_vocab",
+)
 
 
 def _cmd_train(ns) -> int:
@@ -209,9 +220,8 @@ def _cmd_train(ns) -> int:
         if ns.adapter_tag not in model.adapters:
             model.add_adapter(ns.adapter_tag, seed=ns.seed)
         model.set_active_adapter(ns.adapter_tag)
-        losses = train(model, corpus, cfg, trainable="adapters_only")
-    else:
-        losses = train(model, corpus, cfg)
+    stats = TrainStats()
+    losses = train(model, corpus, cfg, "adapters_only" if ns.adapters_only else "all", stats)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}", file=sys.stderr)
     save_checkpoint(model, ns.out)
@@ -221,22 +231,11 @@ def _cmd_train(ns) -> int:
     _finish(
         ns,
         "train",
-        {
-            "lr": ns.lr,
-            "epochs": ns.epochs,
-            "batch_size": ns.batch_size,
-            "clip": ns.clip,
-            "adapters_only": ns.adapters_only,
-            "adapter_tag": ns.adapter_tag,
-            "lang": ns.lang,
-            "embed_dim": ns.embed_dim,
-            "hidden_dim": ns.hidden_dim,
-            "adapter_rank": ns.adapter_rank,
-            "max_vocab": ns.max_vocab,
-        },
+        {name: getattr(ns, name) for name in _TRAIN_MANIFEST_FLAGS},
         {"corpus": ns.corpus, "vocab": ns.vocab, "init": ns.init},
         outputs,
         t0,
+        stats.summary(),
     )
     _result({"command": "train", "epochs": ns.epochs, "final_loss": losses[-1], "out": ns.out})
     return 0
@@ -244,28 +243,31 @@ def _cmd_train(ns) -> int:
 
 def _cmd_build_datastore(ns) -> int:
     t0 = time.perf_counter()
+    if ns.ivf_out and ns.ivf_clusters is None:
+        raise _UsageError("--ivf-out requires --ivf-clusters")
+    if ns.ivf_clusters is not None and not ns.ivf_out:
+        raise _UsageError("--ivf-clusters requires --ivf-out")
     vocab = Vocab.load(ns.vocab)
     models = _load_models([ns.model], ns.adapter)
     corpus = _load_direction(ns.corpus, vocab, ns.lang)
     store = build(models[0], corpus)
-    save_datastore(store, ns.out)
     outputs = {"out": ns.out}
     payload = {"command": "build-datastore", "entries": len(store), "dim": store.dim, "out": ns.out}
-    if ns.ivf_clusters:
-        if not ns.ivf_out:
-            raise _UsageError("--ivf-clusters requires --ivf-out")
-        index = train_ivf(
+    index = None
+    if ns.ivf_clusters is not None:
+        index = train_ivf(  # checks 1 <= clusters <= entries before anything is written
             store,
             ns.ivf_clusters,
             iterations=ns.ivf_iterations,
             seed=ns.seed,
             nprobe=ns.ivf_nprobe,
         )
-        save_ivf(index, ns.ivf_out)
         outputs["ivf_out"] = ns.ivf_out
         payload["ivf_clusters"] = ns.ivf_clusters
-    elif ns.ivf_out:
-        raise _UsageError("--ivf-out requires --ivf-clusters")
+    with _replacing(*outputs.values()) as tmps:
+        save_datastore(store, tmps[0])
+        if index is not None:
+            save_ivf(index, tmps[1])
     _finish(
         ns,
         "build-datastore",
@@ -292,16 +294,8 @@ def _cmd_decode(ns) -> int:
     lm = _load_lm(ns, vocab)
     cfg = _decode_config(ns)
     corpus = _load_direction(ns.corpus, vocab, ns.lang)
-    cfg_snapshot = {
-        "k": cfg.k,
-        "T": cfg.T,
-        "w": cfg.w,
-        "beam": cfg.beam,
-        "max_len": cfg.max_len,
-        "fusion_alpha": cfg.fusion_alpha,
-        "exclude_talk": cfg.exclude_talk,
-    }
-    with _replacing(ns.out) as fh:
+    cfg_snapshot = asdict(cfg)
+    with _replacing(ns.out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         for i, pair in enumerate(corpus):
             hyp, score = beam_decode(models, stores, pair.source, cfg, lm=lm)
             record = {

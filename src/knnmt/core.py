@@ -6,7 +6,9 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
+
+import numpy as np
 
 PAD_ID = 0
 BOS_ID = 1
@@ -26,6 +28,15 @@ def check_file_size(path: str | Path, actual: int, expected: int, at_least: bool
     if actual < expected or (actual != expected and not at_least):
         bound = "at least " if at_least else ""
         raise ValueError(f"{path}: header implies {bound}{expected} bytes, file has {actual}")
+
+
+def read_array(fh: BinaryIO, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The next array of `shape` in an open binary file, read straight into
+    its own memory. Check with check_file_size first that the file holds it."""
+    arr = np.empty(shape, dtype=dtype)
+    if fh.readinto(arr) != arr.nbytes:
+        raise ValueError(f"{fh.name}: file ended while being read")
+    return arr
 
 
 def is_punctuation(token: str) -> bool:

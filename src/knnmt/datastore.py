@@ -11,6 +11,7 @@ to a stored key has distance exactly 0 and duplicate keys tie exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus, check_file_size
+from .core import BOS_ID, EOS_ID, ParallelCorpus, check_file_size, read_array
 from .refmodel import StepModel
 
 DATASTORE_MAGIC = b"KNND"
@@ -501,26 +502,22 @@ def save_datastore(ds: Datastore, path: str | Path) -> None:
 
 
 def load_datastore(path: str | Path) -> Datastore:
-    blob = Path(path).read_bytes()
-    if blob[:4] != DATASTORE_MAGIC:
-        raise ValueError(f"{path}: not a datastore file")
-    offset = 4 + 16
-    check_file_size(path, len(blob), offset, at_least=True)
-    version, dim, count = struct.unpack_from("<IIQ", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported datastore version {version}")
-    check_file_size(path, len(blob), offset + count * (dim + 2) * 4)
-    keys = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=offset)
-    offset += count * dim * 4
-    values = np.frombuffer(blob, dtype="<u4", count=count, offset=offset)
-    offset += count * 4
-    talks = np.frombuffer(blob, dtype="<u4", count=count, offset=offset)
-    return Datastore(
-        dim=dim,
-        keys=keys.reshape(count, dim).copy(),
-        values=values.copy(),
-        talk_ids=talks.copy(),
-    )
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != DATASTORE_MAGIC:
+            raise ValueError(f"{path}: not a datastore file")
+        offset = 4 + 16
+        check_file_size(path, size, offset, at_least=True)
+        version, dim, count = struct.unpack("<IIQ", fh.read(16))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported datastore version {version}")
+        check_file_size(path, size, offset + count * (dim + 2) * 4)
+        return Datastore(
+            dim=dim,
+            keys=read_array(fh, "<f4", (count, dim)),
+            values=read_array(fh, "<u4", (count,)),
+            talk_ids=read_array(fh, "<u4", (count,)),
+        )
 
 
 def save_ivf(index: IvfIndex, path: str | Path) -> None:
@@ -537,28 +534,30 @@ def save_ivf(index: IvfIndex, path: str | Path) -> None:
 
 
 def load_ivf(path: str | Path) -> IvfIndex:
-    blob = Path(path).read_bytes()
-    if blob[:4] != IVF_MAGIC:
-        raise ValueError(f"{path}: not an IVF index file")
-    offset = 4 + 16
-    check_file_size(path, len(blob), offset, at_least=True)
-    version, dim, n_clusters, nprobe = struct.unpack_from("<4I", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported index version {version}")
-    offset += n_clusters * dim * 4
-    spans = []  # (start, length) of each posting list
-    for _ in range(n_clusters):
-        check_file_size(path, len(blob), offset + 8, at_least=True)
-        (length,) = struct.unpack_from("<Q", blob, offset)
-        spans.append((offset + 8, length))
-        offset += 8 + length * 8
-    check_file_size(path, len(blob), offset)
-    centroids = np.frombuffer(blob, dtype="<f4", count=n_clusters * dim, offset=4 + 16)
-    return IvfIndex(
-        centroids=centroids.reshape(n_clusters, dim).copy(),
-        lists=[
-            np.frombuffer(blob, dtype="<u8", count=length, offset=start).astype(np.int64)
-            for start, length in spans
-        ],
-        nprobe=nprobe,
-    )
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != IVF_MAGIC:
+            raise ValueError(f"{path}: not an IVF index file")
+        offset = 4 + 16
+        check_file_size(path, size, offset, at_least=True)
+        version, dim, n_clusters, nprobe = struct.unpack("<4I", fh.read(16))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported index version {version}")
+        # the list lengths first, seeking past each list, so the file's
+        # length is checked before any array is read
+        offset += n_clusters * dim * 4
+        lengths = []
+        for _ in range(n_clusters):
+            check_file_size(path, size, offset + 8, at_least=True)
+            fh.seek(offset)
+            lengths.append(struct.unpack("<Q", fh.read(8))[0])
+            offset += 8 + lengths[-1] * 8
+        check_file_size(path, size, offset)
+        fh.seek(4 + 16)
+        centroids = read_array(fh, "<f4", (n_clusters, dim))
+        lists = []
+        for length in lengths:
+            fh.seek(8, os.SEEK_CUR)
+            # row indices are below 2**63, so u64 and i64 share their bytes
+            lists.append(read_array(fh, "<i8", (length,)).astype(np.int64, copy=False))
+    return IvfIndex(centroids=centroids, lists=lists, nprobe=nprobe)

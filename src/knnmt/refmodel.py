@@ -11,15 +11,17 @@ hand, which keeps the whole model checkable against finite differences.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair, check_file_size
+from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair, check_file_size, read_array
 
 BASE_PARAM_NAMES = ("E", "W_c", "W_y", "W_h", "b", "U", "b_o")
 CHECKPOINT_MAGIC = b"RMDL"
@@ -169,15 +171,25 @@ class RefModel(StepModel):
             raise ValueError(f"state shape {state.shape}, want ({p.hidden_dim},)")
         if not 0 <= prev_token < p.vocab_size:
             raise ValueError(f"token id {prev_token} outside vocabulary")
+        _, _, h, dist = self._forward(context, state, prev_token)
+        return h, dist, h
+
+    def _forward(
+        self, context: np.ndarray, state: np.ndarray, prev_token: int
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+        """The cell, unchecked: tanh(W_c c + W_y e + W_h s + b), then the
+        active adapter, then the softmax. Returns the tanh output, the
+        adapter's bottleneck input (None without an adapter), the hidden
+        state and the next-token distribution. step and training share it."""
+        p = self.params
         pre = np.tanh(p.W_c @ context + p.W_y @ p.E[prev_token] + p.W_h @ state + p.b)
         adapter = self._adapter()
-        if adapter is not None:
+        if adapter is None:
+            z, h = None, pre
+        else:
             z = adapter.W_down @ pre
             h = pre + adapter.W_up @ np.maximum(z, 0.0)
-        else:
-            h = pre
-        dist = softmax(p.U @ h + p.b_o)
-        return h, dist, h
+        return pre, z, h, softmax(p.U @ h + p.b_o)
 
 
 @dataclass(frozen=True)
@@ -201,71 +213,68 @@ class TrainConfig:
 
 
 def _pair_grads(
-    model: RefModel, pair_src: Sentence, pair_tgt: Sentence
+    model: RefModel,
+    pair_src: Sentence,
+    pair_tgt: Sentence,
+    names: Collection[str] | None = None,
 ) -> tuple[float, int, dict[str, np.ndarray]]:
     """Summed next-token NLL over the target (EOS appended) and its gradient
-    with respect to every parameter array, adapters included when active."""
+    with respect to the parameter arrays: every base array unless `names`
+    names none of them, and the active adapter's arrays. A frozen base
+    still carries the gradient back through the recurrent state, so the
+    adapter's gradient has the same bits either way."""
     p = model.params
     adapter = model._adapter()
+    base = names is None or not set(BASE_PARAM_NAMES).isdisjoint(names)
     context = model.encode(pair_src)
     targets = list(pair_tgt.token_ids) + [EOS_ID]
     prevs = [BOS_ID] + targets[:-1]
 
     states = [model.initial_state()]
-    pres: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
-    hs: list[np.ndarray] = []
-    dists: list[np.ndarray] = []
+    cells: list[tuple[np.ndarray, np.ndarray | None, np.ndarray]] = []  # (pre, z, dist)
     loss = 0.0
     for prev, tgt in zip(prevs, targets):
-        pre = np.tanh(
-            p.W_c @ context + p.W_y @ p.E[prev] + p.W_h @ states[-1] + p.b
-        )
-        if adapter is not None:
-            z = adapter.W_down @ pre
-            h = pre + adapter.W_up @ np.maximum(z, 0.0)
-            zs.append(z)
-        else:
-            h = pre
-        dist = softmax(p.U @ h + p.b_o)
+        pre, z, h, dist = model._forward(context, states[-1], prev)
         loss -= float(np.log(dist[tgt]))
-        pres.append(pre)
-        hs.append(h)
-        dists.append(dist)
+        cells.append((pre, z, dist))
         states.append(h)
 
-    grads = {name: np.zeros_like(arr) for name, arr in p.arrays().items()}
+    arrays = dict(p.arrays()) if base else {}
     if adapter is not None:
-        grads.update({name: np.zeros_like(arr) for name, arr in adapter.arrays().items()})
+        arrays.update(adapter.arrays())
+    grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
 
     d_context = np.zeros(p.embed_dim)
     d_state = np.zeros(p.hidden_dim)
     for t in range(len(targets) - 1, -1, -1):
-        d_logits = dists[t].copy()
+        pre, z, d_logits = cells[t]  # the distribution is not needed again
         d_logits[targets[t]] -= 1.0
-        grads["U"] += np.outer(d_logits, hs[t])
-        grads["b_o"] += d_logits
+        if base:
+            grads["U"] += np.outer(d_logits, states[t + 1])
+            grads["b_o"] += d_logits
         dh = p.U.T @ d_logits + d_state
         if adapter is not None:
-            relu_z = np.maximum(zs[t], 0.0)
+            relu_z = np.maximum(z, 0.0)
             grads["A.W_up"] += np.outer(dh, relu_z)
-            dz = (adapter.W_up.T @ dh) * (zs[t] > 0)
-            grads["A.W_down"] += np.outer(dz, pres[t])
+            dz = (adapter.W_up.T @ dh) * (z > 0)
+            grads["A.W_down"] += np.outer(dz, pre)
             d_pre = dh + adapter.W_down.T @ dz
         else:
             d_pre = dh
-        da = (1.0 - pres[t] ** 2) * d_pre
-        grads["W_c"] += np.outer(da, context)
-        grads["W_y"] += np.outer(da, p.E[prevs[t]])
-        grads["W_h"] += np.outer(da, states[t])
-        grads["b"] += da
-        grads["E"][prevs[t]] += p.W_y.T @ da
-        d_context += p.W_c.T @ da
+        da = (1.0 - pre**2) * d_pre
+        if base:
+            grads["W_c"] += np.outer(da, context)
+            grads["W_y"] += np.outer(da, p.E[prevs[t]])
+            grads["W_h"] += np.outer(da, states[t])
+            grads["b"] += da
+            grads["E"][prevs[t]] += p.W_y.T @ da
+            d_context += p.W_c.T @ da
         d_state = p.W_h.T @ da
 
-    src_ids = list(pair_src.token_ids)
-    for sid in src_ids:
-        grads["E"][sid] += d_context / len(src_ids)
+    if base:
+        src_ids = list(pair_src.token_ids)
+        for sid in src_ids:
+            grads["E"][sid] += d_context / len(src_ids)
     return loss, len(targets), grads
 
 
@@ -282,22 +291,46 @@ def _trainable_arrays(model: RefModel, trainable: str) -> dict[str, np.ndarray]:
     raise ValueError(f"trainable must be 'all' or 'adapters_only', got {trainable!r}")
 
 
+@dataclass
+class TrainStats:
+    """What a `train` run measured along the way, for its report. Passing
+    one changes no parameter bit."""
+
+    tokens: int = 0
+    seconds: float = 0.0
+    batches: int = 0
+    clipped: int = 0  # batches whose gradient was clipped
+    grad_norm_sum: float = 0.0  # of each batch's per-token norm before clipping
+    grad_norm_max: float = 0.0
+
+    def summary(self) -> dict[str, float]:
+        return {
+            "tokens_per_s": round(self.tokens / self.seconds, 1) if self.seconds > 0 else 0.0,
+            "grad_norm_mean": self.grad_norm_sum / self.batches,
+            "grad_norm_max": self.grad_norm_max,
+            "clipped_fraction": self.clipped / self.batches,
+        }
+
+
 def train(
     model: RefModel,
     corpus: ParallelCorpus,
     cfg: TrainConfig,
     trainable: str = "all",
+    stats: TrainStats | None = None,
 ) -> list[float]:
     """Minibatch SGD on mean next-token NLL; returns per-epoch mean loss.
 
     The config seed drives only the shuffle order, so a fixed seed makes the
     whole run bit-reproducible. With trainable='adapters_only' every base
-    array is left bit-identical. A non-finite loss aborts immediately.
+    array is left bit-identical and its gradient is never computed. A
+    non-finite loss aborts immediately.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
     arrays = _trainable_arrays(model, trainable)
     rng = np.random.default_rng(cfg.seed)
+    t0 = time.perf_counter()
     losses = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(corpus.pairs))
@@ -310,7 +343,7 @@ def train(
             batch_tokens = 0
             for idx in batch:
                 pair = corpus.pairs[idx]
-                loss, n_tok, grads = _pair_grads(model, pair.source, pair.target)
+                loss, n_tok, grads = _pair_grads(model, pair.source, pair.target, arrays)
                 batch_loss += loss
                 batch_tokens += n_tok
                 for name in sums:
@@ -326,11 +359,21 @@ def train(
                 np.sqrt(sum(float((g**2).sum()) for g in sums.values()))
             ) / batch_tokens
             scale = cfg.learning_rate / batch_tokens
-            if norm > cfg.clip_norm:
+            clipped = norm > cfg.clip_norm
+            if clipped:
                 scale *= cfg.clip_norm / norm
+            if stats is not None:
+                stats.batches += 1
+                stats.clipped += clipped
+                stats.grad_norm_sum += norm
+                stats.grad_norm_max = max(stats.grad_norm_max, norm)
             for name, arr in arrays.items():
                 arr -= scale * sums[name]
         losses.append(epoch_loss / epoch_tokens)
+        if stats is not None:
+            stats.tokens += epoch_tokens
+    if stats is not None:
+        stats.seconds += time.perf_counter() - t0
     return losses
 
 
@@ -352,10 +395,7 @@ def grad_check(
         raise ValueError("epsilon must be in [1e-6, 1e-3]")
     if grads is None:
         _, _, grads = _pair_grads(model, pair.source, pair.target)
-    arrays = dict(model.params.arrays())
-    adapter = model._adapter()
-    if adapter is not None:
-        arrays.update(adapter.arrays())
+    arrays = _trainable_arrays(model, "all")
 
     def loss_of_current() -> float:
         loss, _, _ = _pair_grads(model, pair.source, pair.target)
@@ -411,44 +451,45 @@ def save_checkpoint(model: RefModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> RefModel:
-    blob = Path(path).read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
-    offset = 4 + 20
-    check_file_size(path, len(blob), offset, at_least=True)
-    version, d_e, d, v, rank = struct.unpack_from("<5I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a model checkpoint")
+        offset = 4
 
-    def take_bytes(size: int) -> int:
-        """Offset of the next `size` bytes, once the file is known to hold them."""
-        nonlocal offset
-        check_file_size(path, len(blob), offset + size, at_least=True)
-        offset += size
-        return offset - size
+        def reserve(n: int) -> int:
+            """Check that the file holds the next `n` bytes and step past them."""
+            nonlocal offset
+            check_file_size(path, size, offset + n, at_least=True)
+            offset += n
+            return n
 
-    def take(*shape: int) -> np.ndarray:
-        size = int(np.prod(shape))
-        at = take_bytes(size * 8)
-        return np.frombuffer(blob, dtype="<f8", count=size, offset=at).reshape(shape).copy()
+        def take_bytes(n: int) -> bytes:
+            return fh.read(reserve(n))
 
-    def take_u32() -> int:
-        return struct.unpack_from("<I", blob, take_bytes(4))[0]
+        version, d_e, d, v, rank = struct.unpack("<5I", take_bytes(20))
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
 
-    params = RefModelParams(
-        E=take(v, d_e),
-        W_c=take(d, d_e),
-        W_y=take(d, d_e),
-        W_h=take(d, d),
-        b=take(d),
-        U=take(v, d),
-        b_o=take(v),
-    )
-    model = RefModel(params, adapter_rank=rank)
-    for _ in range(take_u32()):
-        tag_len = take_u32()
-        at = take_bytes(tag_len)
-        tag = blob[at : at + tag_len].decode("utf-8")
-        model.adapters[tag] = AdapterParams(W_down=take(rank, d), W_up=take(d, rank))
-    check_file_size(path, len(blob), offset)
+        def take(*shape: int) -> np.ndarray:
+            reserve(8 * int(np.prod(shape)))
+            return read_array(fh, "<f8", shape)
+
+        def take_u32() -> int:
+            return struct.unpack("<I", take_bytes(4))[0]
+
+        params = RefModelParams(
+            E=take(v, d_e),
+            W_c=take(d, d_e),
+            W_y=take(d, d_e),
+            W_h=take(d, d),
+            b=take(d),
+            U=take(v, d),
+            b_o=take(v),
+        )
+        model = RefModel(params, adapter_rank=rank)
+        for _ in range(take_u32()):
+            tag = take_bytes(take_u32()).decode("utf-8")
+            model.adapters[tag] = AdapterParams(W_down=take(rank, d), W_up=take(d, rank))
+        check_file_size(path, size, offset)
     return model

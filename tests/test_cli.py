@@ -176,6 +176,19 @@ class TestTrain:
         assert base_param_checksum(after) == base_param_checksum(before)
         assert "talks" in after.adapters
 
+    def test_manifest_reports_training_stats(self, work, capsys):
+        train_small(work, out="a.rmdl")
+        err = capsys.readouterr().err.splitlines()
+        train_small(work, out="b.rmdl", extra=("--clip", "1e-9"))
+        clipped_err = capsys.readouterr().err.splitlines()
+        for lines, clipped in ((err, 0.0), (clipped_err, 1.0)):
+            assert [l for l in lines if l.startswith("epoch ")] == lines[:3]
+            stats = json.loads(lines[-1])["stats"]
+            assert sorted(stats) == ["clipped_fraction", "grad_norm_max", "grad_norm_mean", "tokens_per_s"]
+            assert stats["clipped_fraction"] == clipped
+            assert stats["grad_norm_max"] >= stats["grad_norm_mean"] > 0
+            assert stats["tokens_per_s"] > 0
+
     def test_reverse_direction_swaps_sides(self, work, capsys):
         model, vocab = train_small(work, out="fwd.rmdl")
         code = main(
@@ -396,6 +409,48 @@ class TestDecode:
             ]
         )
         assert code == 0
+
+
+class TestBuildDatastore:
+    """A failed build-datastore writes neither the datastore nor the index."""
+
+    def build(self, work, *extra):
+        model, vocab = train_small(work)
+        # two 2-token targets: 6 entries with their EOS steps
+        (work / "six.tsv").write_text("w1 w2\tw3 w4\nw5\tw6 w7\n")
+        return main(
+            [
+                "build-datastore",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "six.tsv"),
+                "--out", str(work / "s.knnd"),
+                *extra,
+            ]
+        )
+
+    def test_more_clusters_than_entries_writes_nothing(self, work, capsys):
+        code = self.build(work, "--ivf-clusters", "1000", "--ivf-out", str(work / "s.knni"))
+        assert code == 2
+        assert "error: n_clusters must be in [1, 6], got 1000" in capsys.readouterr().err
+        assert not (work / "s.knnd").exists() and not (work / "s.knni").exists()
+        assert not list(work.glob(".*.tmp"))
+
+    def test_zero_clusters_is_data_error(self, work, capsys):
+        assert self.build(work, "--ivf-clusters", "0", "--ivf-out", str(work / "s.knni")) == 2
+        assert not (work / "s.knnd").exists() and not (work / "s.knni").exists()
+
+    @pytest.mark.parametrize("extra", [("--ivf-clusters", "2"), ("--ivf-out", "s.knni")])
+    def test_index_flags_come_together(self, work, capsys, extra):
+        assert self.build(work, *extra) == 1
+        assert not (work / "s.knnd").exists()
+
+    def test_failure_leaves_earlier_files_unchanged(self, work, capsys):
+        assert self.build(work, "--ivf-clusters", "2", "--ivf-out", str(work / "s.knni")) == 0
+        before = {name: (work / name).read_bytes() for name in ("s.knnd", "s.knni")}
+        # another side of the corpus: different entries, so a write would show
+        assert self.build(work, "--lang", "reverse", "--ivf-clusters", "7", "--ivf-out", str(work / "s.knni")) == 2
+        assert {name: (work / name).read_bytes() for name in before} == before
 
 
 class TestOtherCommands:

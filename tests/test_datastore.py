@@ -529,6 +529,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"s.bin: header implies {size} bytes, file has {size + cut}"):
             load(path)
 
+    def test_load_holds_the_file_once(self, tmp_path):
+        path = tmp_path / "s.knnd"
+        save_datastore(random_store(seed=53, n=20_000, dim=16), path)
+        tracemalloc.start()
+        try:
+            load_datastore(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * path.stat().st_size  # a whole-file read and a copy is 2x
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "s.knnd"
         save_datastore(random_store(seed=51), path)

@@ -1,13 +1,18 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knnmt.core import Sentence, SentencePair
+from knnmt.core import BOS_ID, EOS_ID, Sentence, SentencePair
 from knnmt.refmodel import (
     BASE_PARAM_NAMES,
     RefModel,
     TrainConfig,
+    TrainStats,
     base_param_checksum,
     grad_check,
     init_params,
@@ -100,6 +105,60 @@ class TestGradients:
         with pytest.raises(ValueError):
             grad_check(fresh_model(), some_pair(), epsilon=1.0)
 
+    def test_training_forward_is_the_step_forward(self):
+        # _pair_grads runs the cell step runs, so its loss is the sum of
+        # step's token NLLs bit for bit, with and without an adapter
+        model = fresh_model(seed=3)
+        model.add_adapter("dom", seed=4)
+        model.adapters["dom"].W_up += 0.05
+        pair = some_pair(3)
+        for tag in (None, "dom"):
+            model.set_active_adapter(tag)
+            ctx, state, prev, want = model.encode(pair.source), model.initial_state(), BOS_ID, 0.0
+            for tgt in list(pair.target.token_ids) + [EOS_ID]:
+                _, dist, state = model.step(ctx, state, prev)
+                want -= float(np.log(dist[tgt]))
+                prev = tgt
+            loss, _, _ = _pair_grads(model, pair.source, pair.target)
+            assert loss == want
+
+    def test_frozen_base_skips_base_gradients(self):
+        model = fresh_model(seed=5)
+        model.add_adapter("dom", seed=1)
+        model.set_active_adapter("dom")
+        pair = some_pair(5)
+        _, _, grads = _pair_grads(model, pair.source, pair.target, model.adapters["dom"].arrays())
+        assert sorted(grads) == ["A.W_down", "A.W_up"]
+        _, _, grads = _pair_grads(model, pair.source, pair.target)
+        assert sorted(grads) == sorted(BASE_PARAM_NAMES + ("A.W_down", "A.W_up"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 12),
+    src_len=st.integers(1, 6),
+    tgt_len=st.integers(0, 8),
+)
+def test_adapters_only_gradients_equal_full_computation(seed, rank, src_len, tgt_len):
+    """Skipping the base gradients leaves the loss, the token count and the
+    adapter's gradients byte-equal to the full computation's."""
+    rng = np.random.default_rng(seed)
+    model = RefModel(init_params(VOCAB, seed=seed), adapter_rank=rank)
+    model.add_adapter("dom", seed=seed)
+    model.set_active_adapter("dom")
+    adapter = model.adapters["dom"]
+    adapter.W_up += rng.uniform(-0.2, 0.2, size=adapter.W_up.shape)  # off its zero init
+    src = Sentence(tuple(int(x) for x in rng.integers(4, VOCAB, size=src_len)))
+    tgt = Sentence(tuple(int(x) for x in rng.integers(4, VOCAB, size=tgt_len)))
+    full_loss, full_tokens, full = _pair_grads(model, src, tgt)
+    loss, tokens, only = _pair_grads(model, src, tgt, adapter.arrays())
+    assert np.float64(loss).tobytes() == np.float64(full_loss).tobytes()
+    assert tokens == full_tokens == tgt_len + 1
+    assert sorted(only) == ["A.W_down", "A.W_up"]
+    for name in only:
+        assert only[name].tobytes() == full[name].tobytes()
+
 
 class TestTrain:
     def test_seeded_training_is_bit_reproducible(self):
@@ -152,6 +211,46 @@ class TestTrain:
         train(model, corpus, TrainConfig(learning_rate=0.3, epochs=3), trainable="adapters_only")
         assert base_param_checksum(model) == before
         assert not np.array_equal(model.adapters["dom"].W_down, w_down_before)
+
+    def test_stats_change_no_checkpoint_byte(self, tmp_path):
+        corpus = random_corpus(12, 10, VOCAB)
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=4, clip_norm=0.05, seed=2)
+        blobs = []
+        for stats in (None, TrainStats()):
+            model = fresh_model(seed=4)
+            train(model, corpus, cfg, stats=stats)
+            save_checkpoint(model, tmp_path / "m.rmdl")
+            blobs.append((tmp_path / "m.rmdl").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert stats.batches == 3 * 3  # 10 pairs in batches of 4
+        assert stats.tokens == 3 * sum(len(p.target) + 1 for p in corpus.pairs)
+        assert 0 < stats.clipped <= stats.batches
+        summary = stats.summary()
+        assert summary["grad_norm_max"] >= summary["grad_norm_mean"] > 0
+        assert summary["grad_norm_max"] > cfg.clip_norm  # some batch was clipped
+        assert summary["clipped_fraction"] == stats.clipped / 9
+        assert summary["tokens_per_s"] > 0
+
+    @pytest.mark.parametrize(
+        "mode, want",
+        [
+            ("all", "1aaedcca81f28ec93a7736bbd38ad1e635d1d713748b6ec1567eba55957eb46d"),
+            ("adapters_only", "32bd9dd3f904504d4377cca8001aa433db535795901cd051bf7146bc78956cdf"),
+            ("all+adapter", "d1538b9ea1f4ea214d392d337f8ebd9c5be4c1c1aeb35936d8dd0420a29eedc9"),
+        ],
+    )
+    def test_checkpoint_bytes_pinned(self, tmp_path, mode, want):
+        # sha256 of small seeded runs, recorded before base gradients were
+        # skipped for a frozen base; they pin float64 results of numpy's
+        # BLAS, so another BLAS build may need them recorded anew
+        model = fresh_model(seed=4, rank=4)
+        if mode != "all":
+            model.add_adapter("dom", seed=2)
+            model.set_active_adapter("dom")
+        cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=4, seed=5)
+        train(model, random_corpus(11, 12, VOCAB), cfg, trainable="all" if mode != "adapters_only" else mode)
+        save_checkpoint(model, tmp_path / "m.rmdl")
+        assert hashlib.sha256((tmp_path / "m.rmdl").read_bytes()).hexdigest() == want
 
     def test_unknown_trainable_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -258,6 +357,18 @@ class TestCheckpoint:
             want += model.adapters[tag].W_up.astype("<f8").tobytes()
         save_checkpoint(model, tmp_path / "m.rmdl")
         assert (tmp_path / "m.rmdl").read_bytes() == want
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        model = RefModel(init_params(2000, seed=1), adapter_rank=8)
+        model.add_adapter("news", seed=1)
+        save_checkpoint(model, tmp_path / "m.rmdl")
+        tracemalloc.start()
+        try:
+            load_checkpoint(tmp_path / "m.rmdl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * (tmp_path / "m.rmdl").stat().st_size  # a whole-file read and a copy is 2x
 
     @pytest.mark.parametrize("adapters", [(), ("news",)])
     @pytest.mark.parametrize("cut", [-1, 1])
