@@ -52,7 +52,13 @@ class IvfIndex:
                 f"nprobe must be in [1, {len(self.lists)}], got {self.nprobe}"
             )
         self.n_rows = sum(len(lst) for lst in self.lists)
-        if (np.sort(np.concatenate(self.lists)) != np.arange(self.n_rows)).any():
+        # n_rows in-range entries that mark every row are a partition; one
+        # flag a row is the only copy the check makes
+        seen = np.zeros(self.n_rows, dtype=bool)
+        if all(0 <= lst.min() <= lst.max() < self.n_rows for lst in self.lists if len(lst)):
+            for lst in self.lists:
+                seen[lst] = True
+        if not seen.all():
             raise ValueError("posting lists must partition the datastore rows")
 
     @property
@@ -66,7 +72,8 @@ class Datastore:
     take = min(k, rows not excluded), ascending by distance, row index
     breaking ties. IVF slots the probed lists cannot fill hold row -1 and
     distance +inf, after the filled ones; the Neighbor views drop them.
-    `keys` is read-only, since search caches the norms of the array held."""
+    `keys` and `talk_ids` are read-only, since search caches what it
+    derives from the arrays held."""
 
     dim: int
     keys: np.ndarray  # (N, dim) float32
@@ -81,7 +88,7 @@ class Datastore:
             raise ValueError("talk_ids and values must align")
 
     def __setattr__(self, name: str, value) -> None:
-        if name == "keys":
+        if name in ("keys", "talk_ids"):
             value.flags.writeable = False
         super().__setattr__(name, value)
 
@@ -178,102 +185,162 @@ def _select(
 # many candidates only costs time.
 _EXPANSION_SLACK = 1e-4
 
+# Groups past min(take, G) in the slab; more only cost time, fewer just
+# mean gathering the margin set from every group more often. Up to
+# _SORT_WHOLE groups every estimate is sorted instead: at 4 queries on a
+# 2-vCPU VM a sort took 4.7 us at 145 groups and 11.6 us at 445, a slab
+# partition and its sort 8.2 and 9.9 us, and the slab then needs that
+# second pass whenever the margin set is wider (on 87% of the calls to
+# the 445-group store of the talks benchmark).
+_SLAB_EXTRA = 8
+_SORT_WHOLE = 512
 
-def _norm_cache(ds: Datastore) -> tuple[np.ndarray, np.ndarray, float]:
-    """(squared key norms, -2 * keys transposed, max key norm), rebuilt
-    whenever the store holds a different keys array."""
-    cache = ds.__dict__.get("_norms")
-    if cache is None or cache[0] is not ds.keys:
-        sq = np.einsum("ij,ij->i", ds.keys, ds.keys)
-        # pre-scaled contiguous transpose: one product plus one add gives
-        # the ranking estimates, and doubling is exact in float32
-        keys_T2 = np.ascontiguousarray((ds.keys * -2.0).T)
-        max_norm = float(np.sqrt(sq.max())) if len(sq) else 0.0
-        cache = ds._norms = (ds.keys, sq, keys_T2, max_norm)
-    return cache[1:]
+# Key rows hashed, copied or compared at once while grouping, so that no
+# full-size temporary of the keys is made.
+_CACHE_ROWS = 4096
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Key rows as 32-bit words, so that they hash and compare by bytes."""
+    return np.ascontiguousarray(rows).view(np.uint32)
+
+
+def _row_hashes(keys: np.ndarray) -> np.ndarray:
+    """64-bit FNV-1a of each row's words; byte-equal rows hash equal."""
+    hashes = np.empty(len(keys), dtype=np.uint64)
+    for lo in range(0, len(keys), _CACHE_ROWS):
+        h = hashes[lo : lo + _CACHE_ROWS]
+        h[:] = 0xCBF29CE484222325
+        for word in _words(keys[lo : lo + _CACHE_ROWS]).T:
+            h ^= word
+            h *= np.uint64(0x100000001B3)
+    return hashes
+
+
+def _same_bytes(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether key rows a[i] and b[i] are equal byte for byte."""
+    same = np.empty(len(a), dtype=bool)
+    for lo in range(0, len(a), _CACHE_ROWS):
+        hi = lo + _CACHE_ROWS
+        same[lo:hi] = (_words(keys[a[lo:hi]]) == _words(keys[b[lo:hi]])).all(axis=1)
+    return same
+
+
+@dataclass
+class _KeyGroups:
+    """Exact search's cache for one keys array: the rows grouped by key
+    bytes, group g holding members[bounds[g]:bounds[g + 1]] in ascending
+    row order, first[g] the first of them (row 0 for a padding group G);
+    -2 U^T and |U|^2 of the distinct keys U; and `eligible`, the groups'
+    eligible rows for the latest excluded talk."""
+
+    keys: np.ndarray
+    members: np.ndarray
+    bounds: np.ndarray
+    first: np.ndarray
+    neg2_ut: np.ndarray
+    sq: np.ndarray
+    max_norm: float
+    eligible: tuple | None = None
+
+
+def _key_groups(ds: Datastore) -> _KeyGroups:
+    """The store's key groups, rebuilt whenever it holds another keys
+    array. Rows are sorted by hash and neighbours with equal hashes are
+    compared byte for byte; after a collision the sort also takes every
+    word of the key, so rows whose bytes differ never share a group."""
+    grp = ds.__dict__.get("_groups")
+    if grp is None or grp.keys is not ds.keys:
+        hashes = _row_hashes(ds.keys)
+        members = np.argsort(hashes, kind="stable")
+        same = hashes[members[1:]] == hashes[members[:-1]]
+        if not _same_bytes(ds.keys, members[:-1][same], members[1:][same]).all():
+            members = np.lexsort((*_words(ds.keys).T[::-1], hashes))
+            same = _same_bytes(ds.keys, members[:-1], members[1:])
+        bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
+        first = members[bounds[:-1]]
+        neg2_ut = np.empty((ds.dim, len(first)), dtype=ds.keys.dtype)
+        sq = np.empty(len(first), dtype=ds.keys.dtype)
+        for lo in range(0, len(first), _CACHE_ROWS):
+            u = ds.keys[first[lo : lo + _CACHE_ROWS]]
+            sq[lo : lo + len(u)] = np.einsum("ij,ij->i", u, u)
+            np.multiply(u.T, -2.0, out=neg2_ut[:, lo : lo + len(u)])  # exact
+        max_norm = float(np.sqrt(sq.max()))
+        first = np.append(first, 0)
+        grp = ds._groups = _KeyGroups(ds.keys, members, bounds, first, neg2_ut, sq, max_norm)
+    return grp
 
 
 def _exclusion(ds: Datastore, exclude_talk: int | None) -> tuple[np.ndarray | None, int]:
+    """(mask of excluded rows, eligible row count), kept for the latest
+    excluded talk while the store holds the same talk_ids array."""
     if exclude_talk is None:
         return None, len(ds)
-    excluded = ds.talk_ids == exclude_talk
-    return excluded, len(ds) - int(excluded.sum())
+    cache = ds.__dict__.get("_excluded")
+    if cache is None or cache[0] != exclude_talk or cache[1] is not ds.talk_ids:
+        excluded = ds.talk_ids == exclude_talk
+        cache = ds._excluded = (exclude_talk, ds.talk_ids, excluded, len(ds) - int(excluded.sum()))
+    return cache[2:]
 
 
-def _topk_rows(
-    ds: Datastore, qi: np.ndarray, ri: np.ndarray, d2: np.ndarray, n_queries: int, take: int
+def _eligible_groups(
+    ds: Datastore, grp: _KeyGroups, excluded: np.ndarray | None, exclude_talk: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, starts, members, sq): group g's eligible rows are
+    members[starts[g]:starts[g] + counts[g]], ascending; counts and starts
+    end with the empty padding group G and members with a -1; |U|^2 is
+    +inf for a group with no eligible row."""
+    cache = grp.eligible
+    if cache is None or cache[0] != exclude_talk or cache[1] is not ds.talk_ids:
+        members, counts = grp.members, np.diff(grp.bounds, append=grp.bounds[-1])
+        if excluded is not None:
+            keep = np.append(~excluded[members], False)
+            members = members[keep[:-1]]
+            counts = np.add.reduceat(keep, grp.bounds, dtype=np.intp)
+        sq = np.where(counts[:-1] > 0, grp.sq, np.inf)
+        starts = np.cumsum(counts)
+        starts -= counts
+        cache = grp.eligible = (exclude_talk, ds.talk_ids, counts, starts, np.append(members, -1), sq)
+    return cache[2:]
+
+
+def _margin_groups(est: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Each query's groups with estimates within its bound, as the rows of
+    a (B, width) matrix padded with the padding group G."""
+    qi, gi = np.nonzero(est <= bound[:, None])
+    per = np.bincount(qi, minlength=len(est))
+    part = np.full((len(est), per.max()), est.shape[1])
+    part[qi, np.arange(len(qi)) - np.repeat(np.cumsum(per) - per, per)] = gi
+    return part
+
+
+def _pick(
+    ds: Datastore, grp: _KeyGroups, Q: np.ndarray, groups: tuple, part: np.ndarray, take: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rectangular top-`take` per query from flat (query, row, distance)
-    candidate triples, distance ascending with row index breaking ties.
-    Every query must contribute at least `take` candidates."""
-    counts = np.bincount(qi, minlength=n_queries)
-    width = int(counts.max())
-    if (counts == width).all():
-        pd = d2.reshape(n_queries, width)
-        pr = ri.reshape(n_queries, width)
-    else:
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        pos = np.arange(len(qi)) - np.repeat(starts, counts)
-        pd = np.full((n_queries, width), np.inf, dtype=d2.dtype)
-        pr = np.zeros_like(pd, dtype=np.int64)
-        pd[qi, pos] = d2
-        pr[qi, pos] = ri
-    # candidates arrive row-ascending per query, so a stable sort on
-    # distance alone reproduces the (distance, row) tie order
-    order = np.argsort(pd, axis=1, kind="stable")[:, :take]
-    each = np.arange(n_queries)[:, None]
-    return pr[each, order], pd[each, order]
-
-
-# Fixed extra candidate slots for the first refinement attempt; more only
-# cost time, fewer just mean falling back to the ragged pass more often.
-_REFINE_EXTRA = 8
-
-
-def _refine_batch(
-    ds: Datastore,
-    Q: np.ndarray,
-    d2a: np.ndarray,
-    take: int,
-    qq: np.ndarray,
-    max_norm: float,
-    has_excluded: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-query top-`take` given ranking estimates `d2a` of shape
-    (B, N) with +inf on excluded columns. The estimates omit the query's
-    own squared norm, a per-query shift that cannot change ordering.
-    Candidates within the rounding margin of each query's take-th smallest
-    estimate are re-scored with true float32 differences, so each result
-    matches a naive full scan bit for bit, ties included. The first
-    attempt uses a uniform candidate slab of take + extra rows, valid
-    whenever everything inside the margin fits; ragged margin sets take
-    the general path."""
-    n_queries, n = d2a.shape
-    margins = _EXPANSION_SLACK * (max_norm + np.sqrt(qq.astype(np.float64))) ** 2
-    kext = take + _REFINE_EXTRA
-    if kext < n:
-        each = np.arange(n_queries)[:, None]
-        part = np.argpartition(d2a, kext - 1, axis=1)[:, :kext]
-        est = d2a[each, part]
-        kth = np.partition(est, take - 1, axis=1)[:, take - 1]
-        # sound when every estimate outside the slab clears the margin
-        if (est.max(axis=1) > kth + margins).all():
-            part.sort(axis=1)  # restores row order for exact tie breaks
-            diff = (ds.keys[part] - Q[:, None, :]).reshape(-1, ds.dim)
-            d2 = np.einsum("ij,ij->i", diff, diff).reshape(n_queries, kext)
-            if has_excluded:
-                d2[np.isinf(d2a[each, part])] = np.inf  # stay out
-            order = np.argsort(d2, axis=1, kind="stable")[:, :take]
-            return part[each, order], d2[each, order]
-    if take < n:
-        kth = np.partition(d2a, take - 1, axis=1)[:, take - 1]
-        mask = d2a <= (kth + margins)[:, None]
-    else:
-        mask = np.isfinite(d2a)
-    qi, ri = np.nonzero(mask)  # row-major: grouped by query, rows ascending
-    diff = ds.keys[ri] - Q[qi]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    return _topk_rows(ds, qi, ri, d2, n_queries, take)
+    """The `take` smallest (distance, row) pairs per query among the
+    eligible rows of its candidate groups `part` (B, W). A group's
+    distance is taken once, from its key."""
+    counts, starts, members, _ = groups
+    diff = (ds.keys[grp.first[part]] - Q[:, None, :]).reshape(-1, ds.dim)
+    d2 = np.einsum("ij,ij->i", diff, diff).reshape(part.shape)
+    if part.shape[1] == 1:  # one group holds every pick, in row order
+        return members[starts[part] + np.arange(take)], np.repeat(d2, take, axis=1)
+    cnt = counts[part]
+    each = np.arange(len(Q))[:, None]
+    if part.shape[1] > take:  # keep the groups up to the one that reaches take rows, ties too
+        order = d2.argsort(axis=1)
+        d2, part, cnt = d2[each, order], part[each, order], cnt[each, order]
+        cut = (cnt.cumsum(axis=1) >= take).argmax(axis=1)
+        keep = np.count_nonzero((d2 <= d2[each[:, 0], cut][:, None]).any(axis=0))
+        d2, part, cnt = d2[:, :keep], part[:, :keep], cnt[:, :keep]
+    offs = np.arange(min(take, int(cnt.max())))
+    at = starts[part][..., None] + offs  # (B, W, width)
+    at[offs >= cnt[..., None]] = -1  # past a group's eligible rows: row -1
+    rows = members[at]
+    d2 = np.where(rows < 0, np.inf, d2[..., None]).reshape(len(Q), -1)
+    rows = rows.reshape(len(Q), -1)
+    order = np.lexsort((rows.view(np.uint64), d2), axis=1)[:, :take]
+    return rows[each, order], d2[each, order]
 
 
 def _wrap_neighbors(
@@ -312,24 +379,52 @@ def query_exact_batch_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bulk exact search returning (row indices, distances) as two
     (B, take) arrays, take = min(k, eligible rows), each row ordered like
-    query_exact. Ranking estimates come from one norm-expansion matrix
-    product over the keys; reported distances are always recomputed from
-    the actual float32 differences."""
+    query_exact and equal bit for bit to a full scan of the rows.
+
+    It searches the distinct keys U. One matrix product gives each group
+    of byte-equal rows an estimate |U|^2 - 2 U.q, +inf if no row of the
+    group is eligible. It omits the per-query |q|^2 and lies within
+    m = _EXPANSION_SLACK * (max key norm + |q|)^2 of the distance it ranks.
+    Sorted by estimate, the groups' eligible rows reach take at some
+    estimate tau within the first min(take, G) groups: each group with a
+    finite estimate holds an eligible row, and if fewer than take do, they
+    hold them all. A group whose estimate exceeds tau + m lies farther
+    than each of those take rows, so scoring every group of the margin set
+    within tau + m, ties kept, finds the result; scoring more groups only
+    costs time. Every estimate is sorted when there are at most
+    _SORT_WHOLE groups. Otherwise a slab of the min(take, G) + _SLAB_EXTRA
+    smallest estimates, in order, holds each query's margin set when that
+    is no wider, and a wider one is gathered from all groups.
+
+    A scored group's distance comes from its key's float32 differences,
+    summed as a full scan sums them; its rows share the key's bytes and so
+    the distance. A group offers its first take eligible rows, and one
+    (distance, row) sort picks the result."""
     Q = _check_queries(ds, queries, k)
     excluded, eligible = _exclusion(ds, exclude_talk)
     take = min(k, eligible)
     if len(Q) == 0 or take == 0:
-        return (
-            np.zeros((len(Q), take), dtype=np.int64),
-            np.zeros((len(Q), take), dtype=np.float32),
-        )
-    sq_norms, keys_T2, max_norm = _norm_cache(ds)
-    d2a = Q @ keys_T2  # (B, N), the one pass over the keys
-    d2a += sq_norms[None, :]
-    qq = np.einsum("ij,ij->i", Q, Q)
-    if excluded is not None:
-        d2a[:, excluded] = np.inf
-    return _refine_batch(ds, Q, d2a, take, qq, max_norm, excluded is not None)
+        return np.zeros((len(Q), take), dtype=np.int64), np.zeros((len(Q), take), dtype=np.float32)
+    grp = _key_groups(ds)
+    groups = _eligible_groups(ds, grp, excluded, exclude_talk)
+    counts, _, _, sq = groups
+    est = Q @ grp.neg2_ut  # (B, G), the one pass over the distinct keys
+    est += sq
+    each, n_groups = np.arange(len(Q))[:, None], est.shape[1]
+    slab = min(take + _SLAB_EXTRA, n_groups)
+    if n_groups <= _SORT_WHOLE:
+        slab, part = n_groups, est.argsort(axis=1)
+    else:
+        part = np.argpartition(est, slab - 1, axis=1)[:, :slab]
+        part = part[each, est[each, part].argsort(axis=1)]
+    pe = est[each, part]
+    cut = (counts[part[:, :take]].cumsum(axis=1) >= take).argmax(axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", Q, Q), dtype=np.float64)
+    bound = pe[each[:, 0], cut] + _EXPANSION_SLACK * (grp.max_norm + norms) ** 2
+    width = np.count_nonzero((pe <= bound[:, None]).any(axis=0))
+    if width == slab < n_groups:  # the margin set may reach past the slab
+        return _pick(ds, grp, Q, groups, _margin_groups(est, bound), take)
+    return _pick(ds, grp, Q, groups, part[:, :width], take)
 
 
 # Rows that k-means widens to float64 and scores against the centroids at
