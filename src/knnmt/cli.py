@@ -4,12 +4,18 @@ Subcommands: train, build-datastore, decode, grid-search, diversify,
 select-data, leave-one-out, score, and lm-train (produces the count files
 decode's fusion flags consume).
 
-Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
-file, out-of-range value). stdout carries one JSON result line per
-command; stderr carries progress plus a final manifest line recording the
-config, input and output paths, and a sha256 checksum of every artifact
-written, so a run can be checked for bit-reproducibility. All randomness
-flows from --seed through numpy's default PCG64 generator.
+Exit codes: 0 success, 1 usage error, 2 data error. The exceptions in
+`_DATA_ERRORS` (a missing, malformed or mismatched file, an out-of-range
+value) are data errors: they exit 2 with one `error:` line. Any other
+exception is a defect in the program and keeps its traceback.
+
+stdout carries one JSON result line per command. stderr carries progress
+plus a final manifest line, built from the parsed flags alone: `outputs`
+holds the output flags given (`_OUTPUT_FLAGS`) with a sha256 checksum of
+each, `inputs` every input flag (`_INPUT_FLAGS`, null when not given),
+`seed` the --seed, and `config` every other flag, so a run can be checked
+for bit-reproducibility. All randomness flows from --seed through numpy's
+default PCG64 generator.
 """
 
 from __future__ import annotations
@@ -63,14 +69,23 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _finish(
-    ns, command: str, config: dict, inputs: dict, outputs: dict, t0: float, stats: dict | None = None
-) -> None:
+_INPUT_FLAGS = (
+    "model", "vocab", "corpus", "init", "datastore", "ivf_index", "lm", "lm_domain", "dev",
+    "forward_model", "backward_model", "pool", "seed_corpus", "talkset", "hyp", "ref",
+)
+_OUTPUT_FLAGS = ("out", "vocab_out", "ivf_out")
+_DATA_ERRORS = (CorpusError, ValueError, KeyError, OSError, RuntimeError, struct.error)
+
+
+def _finish(ns, t0: float, stats: dict | None) -> None:
     """Emit the run manifest: always one JSON line on stderr, plus a copy
     at --manifest when given. Checksums cover every written artifact;
     `stats`, when given, reports how the run went."""
+    config = {k: v for k, v in vars(ns).items() if k not in ("command", "func", "manifest", "seed")}
+    outputs = {k: v for k in _OUTPUT_FLAGS if (v := config.pop(k, None))}
+    inputs = {k: config.pop(k) for k in _INPUT_FLAGS if k in config}
     manifest = {
-        "command": command,
+        "command": ns.command,
         "config": config,
         "inputs": inputs,
         "outputs": outputs,
@@ -84,10 +99,6 @@ def _finish(
     print(line, file=sys.stderr)
     if getattr(ns, "manifest", None):
         Path(ns.manifest).write_text(line + "\n", encoding="utf-8")
-
-
-def _result(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
 
 
 def _flip(corpus: ParallelCorpus) -> ParallelCorpus:
@@ -115,10 +126,15 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
-def _load_models(paths: Sequence[str], adapter: str | None) -> list[RefModel]:
+def _load_models(paths: Sequence[str], adapter: str | None, vocab: Vocab) -> list[RefModel]:
     models = []
     for path in paths:
         model = load_checkpoint(path)
+        if model.params.vocab_size != len(vocab):
+            raise ValueError(
+                f"{path}: checkpoint vocab size {model.params.vocab_size} "
+                f"!= vocabulary size {len(vocab)}"
+            )
         if adapter is not None:
             model.set_active_adapter(adapter)
         models.append(model)
@@ -183,14 +199,7 @@ def _decode_config(ns) -> DecodeConfig:
     )
 
 
-_TRAIN_MANIFEST_FLAGS = (
-    "lr", "epochs", "batch_size", "clip", "adapters_only", "adapter_tag", "lang",
-    "embed_dim", "hidden_dim", "adapter_rank", "max_vocab",
-)
-
-
-def _cmd_train(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_train(ns) -> tuple[dict, dict | None]:
     vocab = _resolve_vocab(ns, [ns.corpus])
     if ns.vocab_out:
         vocab.save(ns.vocab_out)
@@ -198,12 +207,7 @@ def _cmd_train(ns) -> int:
     if ns.adapters_only and not ns.init:
         raise _UsageError("--adapters-only requires --init")
     if ns.init:
-        model = load_checkpoint(ns.init)
-        if model.params.vocab_size != len(vocab):
-            raise ValueError(
-                f"checkpoint vocab size {model.params.vocab_size} "
-                f"!= vocabulary size {len(vocab)}"
-            )
+        model = _load_models([ns.init], None, vocab)[0]
     else:
         model = RefModel(
             init_params(len(vocab), ns.embed_dim, ns.hidden_dim, ns.seed),
@@ -225,33 +229,19 @@ def _cmd_train(ns) -> int:
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}", file=sys.stderr)
     save_checkpoint(model, ns.out)
-    outputs = {"out": ns.out}
-    if ns.vocab_out:
-        outputs["vocab_out"] = ns.vocab_out
-    _finish(
-        ns,
-        "train",
-        {name: getattr(ns, name) for name in _TRAIN_MANIFEST_FLAGS},
-        {"corpus": ns.corpus, "vocab": ns.vocab, "init": ns.init},
-        outputs,
-        t0,
-        stats.summary(),
-    )
-    _result({"command": "train", "epochs": ns.epochs, "final_loss": losses[-1], "out": ns.out})
-    return 0
+    payload = {"command": "train", "epochs": ns.epochs, "final_loss": losses[-1], "out": ns.out}
+    return payload, stats.summary()
 
 
-def _cmd_build_datastore(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_build_datastore(ns) -> tuple[dict, dict | None]:
     if ns.ivf_out and ns.ivf_clusters is None:
         raise _UsageError("--ivf-out requires --ivf-clusters")
     if ns.ivf_clusters is not None and not ns.ivf_out:
         raise _UsageError("--ivf-clusters requires --ivf-out")
     vocab = Vocab.load(ns.vocab)
-    models = _load_models([ns.model], ns.adapter)
+    models = _load_models([ns.model], ns.adapter, vocab)
     corpus = _load_direction(ns.corpus, vocab, ns.lang)
     store = build(models[0], corpus)
-    outputs = {"out": ns.out}
     payload = {"command": "build-datastore", "entries": len(store), "dim": store.dim, "out": ns.out}
     index = None
     if ns.ivf_clusters is not None:
@@ -262,34 +252,17 @@ def _cmd_build_datastore(ns) -> int:
             seed=ns.seed,
             nprobe=ns.ivf_nprobe,
         )
-        outputs["ivf_out"] = ns.ivf_out
         payload["ivf_clusters"] = ns.ivf_clusters
-    with _replacing(*outputs.values()) as tmps:
+    with _replacing(*filter(None, (ns.out, ns.ivf_out))) as tmps:
         save_datastore(store, tmps[0])
         if index is not None:
             save_ivf(index, tmps[1])
-    _finish(
-        ns,
-        "build-datastore",
-        {
-            "lang": ns.lang,
-            "adapter": ns.adapter,
-            "ivf_clusters": ns.ivf_clusters,
-            "ivf_iterations": ns.ivf_iterations,
-            "ivf_nprobe": ns.ivf_nprobe,
-        },
-        {"model": ns.model, "vocab": ns.vocab, "corpus": ns.corpus},
-        outputs,
-        t0,
-    )
-    _result(payload)
-    return 0
+    return payload, None
 
 
-def _cmd_decode(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_decode(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
-    models = _load_models(ns.model, ns.adapter)
+    models = _load_models(ns.model, ns.adapter, vocab)
     stores = _load_stores(ns, models)
     lm = _load_lm(ns, vocab)
     cfg = _decode_config(ns)
@@ -306,29 +279,12 @@ def _cmd_decode(ns) -> int:
                 "config": cfg_snapshot,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _finish(
-        ns,
-        "decode",
-        cfg_snapshot,
-        {
-            "model": list(ns.model),
-            "vocab": ns.vocab,
-            "datastore": list(ns.datastore or []),
-            "corpus": ns.corpus,
-            "lm": ns.lm,
-            "lm_domain": ns.lm_domain,
-        },
-        {"out": ns.out},
-        t0,
-    )
-    _result({"command": "decode", "segments": len(corpus), "out": ns.out})
-    return 0
+    return {"command": "decode", "segments": len(corpus), "out": ns.out}, None
 
 
-def _cmd_grid_search(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_grid_search(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
-    models = _load_models(ns.model, ns.adapter)
+    models = _load_models(ns.model, ns.adapter, vocab)
     stores = _load_stores(ns, models)
     dev_corpus = _load_direction(ns.dev, vocab, ns.lang)
     dev = [(p.source, p.target) for p in dev_corpus.pairs]
@@ -344,66 +300,27 @@ def _cmd_grid_search(ns) -> int:
     lines = ["T\tw\tBLEU"]
     lines += [f"{T:g}\t{w:g}\t{score:.6f}" for T, w, score in result.rows]
     Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _finish(
-        ns,
-        "grid-search",
-        {"k": ns.k, "T_grid": list(ns.T_grid), "w_grid": list(ns.w_grid), "beam": ns.beam},
-        {
-            "model": list(ns.model),
-            "vocab": ns.vocab,
-            "datastore": list(ns.datastore or []),
-            "dev": ns.dev,
-        },
-        {"out": ns.out},
-        t0,
-    )
-    _result(
-        {
-            "command": "grid-search",
-            "best_T": result.best_T,
-            "best_w": result.best_w,
-            "best_bleu": result.best_bleu,
-            "out": ns.out,
-        }
-    )
-    return 0
+    payload = {
+        "command": "grid-search",
+        "best_T": result.best_T,
+        "best_w": result.best_w,
+        "best_bleu": result.best_bleu,
+        "out": ns.out,
+    }
+    return payload, None
 
 
-def _cmd_diversify(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_diversify(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
     corpus = load_corpus(ns.corpus, vocab)
-    forward = load_checkpoint(ns.forward_model)
-    backward = load_checkpoint(ns.backward_model)
+    forward, backward = _load_models([ns.forward_model, ns.backward_model], None, vocab)
     cfg = DiversifyConfig(rounds=ns.rounds, beam=ns.beam, dedup=not ns.no_dedup)
     augmented = diversify(corpus, forward, backward, cfg)
     write_corpus(ns.out, augmented, vocab)
-    _finish(
-        ns,
-        "diversify",
-        {"rounds": ns.rounds, "beam": ns.beam, "dedup": not ns.no_dedup},
-        {
-            "corpus": ns.corpus,
-            "forward_model": ns.forward_model,
-            "backward_model": ns.backward_model,
-            "vocab": ns.vocab,
-        },
-        {"out": ns.out},
-        t0,
-    )
-    _result(
-        {
-            "command": "diversify",
-            "original": len(corpus),
-            "total": len(augmented),
-            "out": ns.out,
-        }
-    )
-    return 0
+    return {"command": "diversify", "original": len(corpus), "total": len(augmented), "out": ns.out}, None
 
 
-def _cmd_select_data(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_select_data(ns) -> tuple[dict, dict | None]:
     vocab = _resolve_vocab(ns, [ns.pool, ns.seed_corpus])
     pool = load_corpus(ns.pool, vocab)
     seed_corpus = load_corpus(ns.seed_corpus, vocab)
@@ -411,29 +328,12 @@ def _cmd_select_data(ns) -> int:
         pool, [p.source for p in seed_corpus.pairs], ns.max_order, ns.top_k
     )
     write_corpus(ns.out, selected, vocab)
-    _finish(
-        ns,
-        "select-data",
-        {"top_k": ns.top_k, "max_order": ns.max_order, "max_vocab": ns.max_vocab},
-        {"pool": ns.pool, "seed_corpus": ns.seed_corpus, "vocab": ns.vocab},
-        {"out": ns.out},
-        t0,
-    )
-    _result(
-        {
-            "command": "select-data",
-            "selected": len(selected),
-            "pool": len(pool),
-            "out": ns.out,
-        }
-    )
-    return 0
+    return {"command": "select-data", "selected": len(selected), "pool": len(pool), "out": ns.out}, None
 
 
-def _cmd_leave_one_out(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_leave_one_out(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
-    models = _load_models(ns.model, ns.adapter)
+    models = _load_models(ns.model, ns.adapter, vocab)
     talkset = load_corpus(ns.talkset, vocab)
     cfg = _decode_config(ns)
     report = leave_one_out_eval(models, talkset, cfg)
@@ -452,26 +352,14 @@ def _cmd_leave_one_out(ns) -> int:
             for r in report.per_talk
         ],
     }
-    outputs = {}
     if ns.out:
         Path(ns.out).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-        outputs["out"] = ns.out
-    _finish(
-        ns,
-        "leave-one-out",
-        {"k": ns.k, "T": ns.T, "w": ns.w, "beam": ns.beam},
-        {"model": list(ns.model), "vocab": ns.vocab, "talkset": ns.talkset},
-        outputs,
-        t0,
-    )
-    _result(payload)
-    return 0
+    return payload, None
 
 
-def _cmd_score(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_score(ns) -> tuple[dict, dict | None]:
     hyps = [tokenize(line) for line in Path(ns.hyp).read_text(encoding="utf-8").splitlines()]
     refs = [tokenize(line) for line in Path(ns.ref).read_text(encoding="utf-8").splitlines()]
     if ns.metric == "bleu":
@@ -492,20 +380,10 @@ def _cmd_score(ns) -> int:
             "value": corpus_wer(hyps, refs),
             "details": {"segments": len(refs)},
         }
-    _finish(
-        ns,
-        "score",
-        {"metric": ns.metric},
-        {"hyp": ns.hyp, "ref": ns.ref},
-        {},
-        t0,
-    )
-    _result(payload)
-    return 0
+    return payload, None
 
 
-def _cmd_lm_train(ns) -> int:
-    t0 = time.perf_counter()
+def _cmd_lm_train(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
     corpus = load_corpus(ns.corpus, vocab)
     sents = [
@@ -513,16 +391,7 @@ def _cmd_lm_train(ns) -> int:
     ]
     lm = lm_train(sents, ns.order, len(vocab), floor=ns.floor)
     save_ngram_counts(lm, vocab, ns.out)
-    _finish(
-        ns,
-        "lm-train",
-        {"order": ns.order, "side": ns.side, "floor": ns.floor},
-        {"corpus": ns.corpus, "vocab": ns.vocab},
-        {"out": ns.out},
-        t0,
-    )
-    _result({"command": "lm-train", "grams": len(lm.counts), "order": ns.order, "out": ns.out})
-    return 0
+    return {"command": "lm-train", "grams": len(lm.counts), "order": ns.order, "out": ns.out}, None
 
 
 def _add_common_model_flags(sp, multi: bool) -> None:
@@ -687,13 +556,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return ns.func(ns)
+        t0 = time.perf_counter()
+        payload, stats = ns.func(ns)
+        _finish(ns, t0, stats)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, ValueError, KeyError, OSError, RuntimeError, struct.error) as exc:
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(payload, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from knnmt.cli import main
-from knnmt.core import Vocab, load_corpus
+from knnmt.cli import build_parser, main
+from knnmt.core import RESERVED_TOKENS, Vocab, load_corpus
 from knnmt.datastore import load_datastore, save_datastore
 
 
@@ -13,8 +14,7 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture
-def work(tmp_path):
+def write_corpora(root):
     """A small bitext plus a matching two-talk talkset on disk."""
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(10)]
@@ -24,7 +24,7 @@ def work(tmp_path):
         src = " ".join(words[i] for i in rng.integers(0, 10, size=n))
         tgt = " ".join(words[i] for i in rng.integers(0, 10, size=n))
         lines.append(f"{src}\t{tgt}")
-    (tmp_path / "train.tsv").write_text("\n".join(lines) + "\n")
+    (root / "train.tsv").write_text("\n".join(lines) + "\n")
     talk_lines = []
     for talk in (0, 1):
         for _ in range(4):
@@ -32,8 +32,13 @@ def work(tmp_path):
             src = " ".join(words[i] for i in rng.integers(0, 10, size=n))
             tgt = " ".join(words[i] for i in rng.integers(0, 10, size=n))
             talk_lines.append(f"{src}\t{tgt}\ttalks\t{talk}")
-    (tmp_path / "talks.tsv").write_text("\n".join(talk_lines) + "\n")
-    return tmp_path
+    (root / "talks.tsv").write_text("\n".join(talk_lines) + "\n")
+    return root
+
+
+@pytest.fixture
+def work(tmp_path):
+    return write_corpora(tmp_path)
 
 
 def train_small(work, out="model.rmdl", extra=()):
@@ -638,3 +643,166 @@ class TestFileLengths:
         assert f"{len(blob)} bytes, file has {len(blob) + cut}" in err
         assert "Traceback" not in err
         assert not (work / "hyps.jsonl").exists()
+
+
+# every subcommand, run once in this order, each writing its manifest to <name>.json
+PIPELINE = {
+    "train": ["--corpus", "train.tsv", "--out", "m.rmdl", "--vocab-out", "v.txt", "--epochs", "1", "--seed", "1"],
+    "build-datastore": [
+        "--model", "m.rmdl", "--vocab", "v.txt", "--corpus", "talks.tsv", "--out", "s.knnd",
+        "--ivf-clusters", "2", "--ivf-out", "s.knni",
+    ],
+    "decode": [
+        "--model", "m.rmdl", "--vocab", "v.txt", "--corpus", "talks.tsv", "--out", "h.jsonl",
+        "--datastore", "s.knnd", "--ivf-index", "s.knni", "--beam", "2",
+    ],
+    "grid-search": [
+        "--model", "m.rmdl", "--vocab", "v.txt", "--datastore", "s.knnd", "--dev", "talks.tsv",
+        "--out", "g.tsv", "--T-grid", "10", "--w-grid", "0.5", "--beam", "2",
+    ],
+    "diversify": [
+        "--corpus", "train.tsv", "--forward-model", "m.rmdl", "--backward-model", "m.rmdl",
+        "--vocab", "v.txt", "--out", "d.tsv", "--beam", "2",
+    ],
+    "select-data": ["--pool", "train.tsv", "--seed-corpus", "talks.tsv", "--top-k", "2", "--out", "sel.tsv"],
+    "leave-one-out": ["--model", "m.rmdl", "--vocab", "v.txt", "--talkset", "talks.tsv", "--beam", "2"],
+    "score": ["--metric", "wer", "--hyp", "train.tsv", "--ref", "train.tsv"],
+    "lm-train": ["--corpus", "train.tsv", "--vocab", "v.txt", "--out", "lm.txt"],
+}
+OUTPUT_FLAGS = {"out", "vocab_out", "ivf_out"}
+
+
+def in_dir(root, args):
+    """`args` with each file name made a path under `root`."""
+    suffixes = (".rmdl", ".knnd", ".knni", ".tsv", ".txt", ".jsonl")
+    return [str(root / a) if a.endswith(suffixes) else a for a in args]
+
+
+def subcommand_flags():
+    """Each subcommand's flag destinations, as build_parser() declares them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.dest for a in sp._actions if a.dest not in ("help", "manifest")]
+        for name, sp in sub.choices.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A directory holding every artifact of PIPELINE, and each run's manifest."""
+    root = write_corpora(tmp_path_factory.mktemp("pipeline"))
+    manifests = {}
+    for name, args in PIPELINE.items():
+        assert main([name, *in_dir(root, args), "--manifest", str(root / f"{name}.json")]) == 0
+        manifests[name] = json.loads((root / f"{name}.json").read_text())
+    return root, manifests
+
+
+class TestManifest:
+    def test_pipeline_covers_every_subcommand(self):
+        assert sorted(PIPELINE) == sorted(subcommand_flags())
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE))
+    def test_every_flag_recorded_once(self, pipeline, command):
+        """Each flag sits, with its parsed value, in exactly one of config,
+        inputs, outputs and seed; an output flag not given sits nowhere."""
+        root, manifests = pipeline
+        manifest = manifests[command]
+        parsed = vars(build_parser().parse_args([command, *in_dir(root, PIPELINE[command])]))
+        flags = subcommand_flags()[command]
+        for dest in flags:
+            places = {key: manifest[key][dest] for key in ("config", "inputs", "outputs") if dest in manifest[key]}
+            if dest == "seed":
+                places["seed"] = manifest["seed"]
+            value = json.loads(json.dumps(parsed[dest]))
+            if dest in OUTPUT_FLAGS and value is None:
+                assert places == {}, dest
+            else:
+                assert list(places.values()) == [value], (dest, places)
+            if str(root) in str(value):  # a file the command reads or writes
+                assert list(places) in (["inputs"], ["outputs"]), (dest, places)
+        assert {*manifest["config"], *manifest["inputs"], *manifest["outputs"]} <= set(flags)
+        assert set(manifest["outputs"]) <= OUTPUT_FLAGS
+        if "seed" not in flags:
+            assert manifest["seed"] is None
+
+    def test_decode_names_its_ivf_index(self, pipeline):
+        root, manifests = pipeline
+        assert manifests["decode"]["inputs"]["ivf_index"] == [str(root / "s.knni")]
+        assert manifests["decode"]["checksums"] == {str(root / "h.jsonl"): sha(root / "h.jsonl")}
+
+
+class TestDataErrors:
+    """Wrong-kind inputs are data errors: exit 2 with one `error:` line and
+    no traceback, and no output file."""
+
+    @pytest.mark.parametrize(
+        "flag, wrong",
+        [
+            ("--model", "s.knnd"),
+            ("--datastore", "m.rmdl"),
+            ("--ivf-index", "random.bin"),
+            ("--vocab", "random.bin"),
+            ("--lm", "random.bin"),
+            ("--corpus", "v.txt"),
+        ],
+    )
+    def test_wrong_kind_of_file(self, pipeline, tmp_path, capsys, flag, wrong):
+        (tmp_path / "random.bin").write_bytes(np.random.default_rng(0).bytes(512))
+        given = {
+            "--model": "m.rmdl", "--vocab": "v.txt", "--corpus": "talks.tsv", "--datastore": "s.knnd",
+            "--ivf-index": "s.knni", "--lm": "lm.txt", flag: wrong,
+        }
+        argv = ["decode", "--out", str(tmp_path / "h.jsonl")]
+        for name, value in given.items():
+            argv += [name, str((tmp_path if value == "random.bin" else pipeline[0]) / value)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["random.bin"]
+
+    def test_other_exceptions_are_defects(self, pipeline, tmp_path, monkeypatch):
+        root = pipeline[0]
+
+        def broken(*args, **kwargs):
+            raise TypeError("a defect")
+
+        monkeypatch.setattr("knnmt.cli.beam_decode", broken)
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--out", str(tmp_path / "h.jsonl")]
+        with pytest.raises(TypeError, match="a defect"):
+            main(argv)
+
+
+class TestVocabSize:
+    """A --vocab whose size differs from a checkpoint's is a data error that
+    names both sizes, for every command that loads a checkpoint."""
+
+    COMMANDS = {
+        "train": ["--corpus", "train.tsv", "--init", "m.rmdl", "--epochs", "1"],
+        "build-datastore": ["--model", "m.rmdl", "--corpus", "talks.tsv"],
+        "decode": ["--model", "m.rmdl", "--corpus", "talks.tsv"],
+        "grid-search": ["--model", "m.rmdl", "--datastore", "s.knnd", "--dev", "talks.tsv", "--T-grid", "10"],
+        "diversify": ["--corpus", "train.tsv", "--forward-model", "m.rmdl", "--backward-model", "m.rmdl"],
+        "leave-one-out": ["--model", "m.rmdl", "--talkset", "talks.tsv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_mismatch_is_data_error(self, pipeline, tmp_path, capsys, command, delta):
+        root = pipeline[0]
+        tokens = (root / "v.txt").read_text().splitlines()
+        # one more token shifts every word's id up by one; one fewer drops the last word
+        n = len(RESERVED_TOKENS)
+        vocab = tmp_path / "v.txt"
+        vocab.write_text("\n".join(tokens[:n] + ["extra"] + tokens[n:] if delta > 0 else tokens[:-1]) + "\n")
+        argv = [command, "--vocab", str(vocab), "--out", str(tmp_path / "out")]
+        argv += in_dir(root, self.COMMANDS[command])
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {root / 'm.rmdl'}: checkpoint vocab size {len(tokens)} " in err
+        assert f"!= vocabulary size {len(tokens) + delta}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.txt"]
