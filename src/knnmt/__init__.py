@@ -38,6 +38,7 @@ from .decode import (
     DecodeConfig,
     GridSearchResult,
     beam_decode,
+    beam_decode_batch,
     fuse_lm,
     grid_search,
     interpolate,

@@ -39,11 +39,12 @@ from .core import (
     build_vocab,
     corpus_token_lists,
     load_corpus,
+    read_text,
     tokenize,
     write_corpus,
 )
 from .datastore import build, check_index, load_datastore, load_ivf, save_datastore, save_ivf, train_ivf
-from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode, grid_search
+from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode_batch, grid_search
 from .metrics import bleu, corpus_wer
 from .ngram import LmInterpConfig, lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
 from .pipeline import DiversifyConfig, diversify, leave_one_out_eval
@@ -201,8 +202,6 @@ def _decode_config(ns) -> DecodeConfig:
 
 def _cmd_train(ns) -> tuple[dict, dict | None]:
     vocab = _resolve_vocab(ns, [ns.corpus])
-    if ns.vocab_out:
-        vocab.save(ns.vocab_out)
     corpus = _load_direction(ns.corpus, vocab, ns.lang)
     if ns.adapters_only and not ns.init:
         raise _UsageError("--adapters-only requires --init")
@@ -228,7 +227,10 @@ def _cmd_train(ns) -> tuple[dict, dict | None]:
     losses = train(model, corpus, cfg, "adapters_only" if ns.adapters_only else "all", stats)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}", file=sys.stderr)
-    save_checkpoint(model, ns.out)
+    with _replacing(*filter(None, (ns.out, ns.vocab_out))) as tmps:
+        save_checkpoint(model, tmps[0])
+        if ns.vocab_out:
+            vocab.save(tmps[1])
     payload = {"command": "train", "epochs": ns.epochs, "final_loss": losses[-1], "out": ns.out}
     return payload, stats.summary()
 
@@ -268,9 +270,9 @@ def _cmd_decode(ns) -> tuple[dict, dict | None]:
     cfg = _decode_config(ns)
     corpus = _load_direction(ns.corpus, vocab, ns.lang)
     cfg_snapshot = asdict(cfg)
+    results = beam_decode_batch(models, stores, [pair.source for pair in corpus], cfg, lm=lm)
     with _replacing(ns.out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
-        for i, pair in enumerate(corpus):
-            hyp, score = beam_decode(models, stores, pair.source, cfg, lm=lm)
+        for i, (pair, (hyp, score)) in enumerate(zip(corpus, results)):
             record = {
                 "id": i,
                 "source": " ".join(vocab.decode(pair.source.token_ids)),
@@ -360,8 +362,8 @@ def _cmd_leave_one_out(ns) -> tuple[dict, dict | None]:
 
 
 def _cmd_score(ns) -> tuple[dict, dict | None]:
-    hyps = [tokenize(line) for line in Path(ns.hyp).read_text(encoding="utf-8").splitlines()]
-    refs = [tokenize(line) for line in Path(ns.ref).read_text(encoding="utf-8").splitlines()]
+    hyps = [tokenize(line) for line in read_text(ns.hyp).splitlines()]
+    refs = [tokenize(line) for line in read_text(ns.ref).splitlines()]
     if ns.metric == "bleu":
         report = bleu(hyps, refs)
         payload = {

@@ -6,7 +6,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,21 @@ def read_array(fh: BinaryIO, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     if fh.readinto(arr) != arr.nbytes:
         raise ValueError(f"{fh.name}: file ended while being read")
     return arr
+
+
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, streamed; bytes that are not UTF-8
+    raise a ValueError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents, checked as _text_lines checks them."""
+    return "".join(_text_lines(path))
 
 
 def is_punctuation(token: str) -> bool:
@@ -101,8 +116,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tuple(lines))
+        return cls(tuple(read_text(path).splitlines()))
 
 
 def build_vocab(corpus: Sequence[Sequence[str]], max_size: int) -> Vocab:
@@ -172,26 +186,25 @@ def read_tsv(path: str | Path) -> list[tuple[str, str, str, int]]:
     fewer than 2 fields raises CorpusError naming the 1-based line number.
     """
     rows: list[tuple[str, str, str, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            fields = line.split("\t")
-            if len(fields) < 2:
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.rstrip("\n")
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise CorpusError(
+                f"{path}: line {lineno}: expected at least 2 tab-separated fields"
+            )
+        source, target = fields[0], fields[1]
+        domain = fields[2] if len(fields) > 2 and fields[2] else "general"
+        if len(fields) > 3 and fields[3]:
+            try:
+                talk_id = int(fields[3])
+            except ValueError as exc:
                 raise CorpusError(
-                    f"{path}: line {lineno}: expected at least 2 tab-separated fields"
-                )
-            source, target = fields[0], fields[1]
-            domain = fields[2] if len(fields) > 2 and fields[2] else "general"
-            if len(fields) > 3 and fields[3]:
-                try:
-                    talk_id = int(fields[3])
-                except ValueError as exc:
-                    raise CorpusError(
-                        f"{path}: line {lineno}: talk_id is not an integer: {fields[3]!r}"
-                    ) from exc
-            else:
-                talk_id = 0
-            rows.append((source, target, domain, talk_id))
+                    f"{path}: line {lineno}: talk_id is not an integer: {fields[3]!r}"
+                ) from exc
+        else:
+            talk_id = 0
+        rows.append((source, target, domain, talk_id))
     return rows
 
 

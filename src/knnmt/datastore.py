@@ -195,9 +195,17 @@ _EXPANSION_SLACK = 1e-4
 _SLAB_EXTRA = 8
 _SORT_WHOLE = 512
 
-# Key rows hashed, copied or compared at once while grouping, so that no
-# full-size temporary of the keys is made.
+# Key rows hashed, copied or compared at once while grouping, and (query,
+# group) pairs scored at once, so that no full-size temporary of the keys
+# is made.
 _CACHE_ROWS = 4096
+
+# Queries times groups that exact search ranks at once. A fixed size, not a
+# flag: the (queries, G) estimates, their sort and the margin pairs stay
+# within a few times this many elements at any batch size. 2**19 lets 5
+# queries share a pass over 1e5 distinct keys, and a whole beam block share
+# one over a few hundred.
+_SEARCH_ELEMS = 1 << 19
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
@@ -232,7 +240,8 @@ class _KeyGroups:
     bytes, group g holding members[bounds[g]:bounds[g + 1]] in ascending
     row order, first[g] the first of them (row 0 for a padding group G);
     -2 U^T and |U|^2 of the distinct keys U; and `eligible`, the groups'
-    eligible rows for the latest excluded talk."""
+    eligible rows for the latest excluded talk. Row indices and counts are
+    int32 unless the store has 2**31 rows or more."""
 
     keys: np.ndarray
     members: np.ndarray
@@ -251,13 +260,14 @@ def _key_groups(ds: Datastore) -> _KeyGroups:
     word of the key, so rows whose bytes differ never share a group."""
     grp = ds.__dict__.get("_groups")
     if grp is None or grp.keys is not ds.keys:
+        idx = np.int32 if len(ds) < 2**31 else np.int64
         hashes = _row_hashes(ds.keys)
-        members = np.argsort(hashes, kind="stable")
+        members = np.argsort(hashes, kind="stable").astype(idx)
         same = hashes[members[1:]] == hashes[members[:-1]]
         if not _same_bytes(ds.keys, members[:-1][same], members[1:][same]).all():
-            members = np.lexsort((*_words(ds.keys).T[::-1], hashes))
+            members = np.lexsort((*_words(ds.keys).T[::-1], hashes)).astype(idx)
             same = _same_bytes(ds.keys, members[:-1], members[1:])
-        bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
+        bounds = np.flatnonzero(np.concatenate(([True], ~same, [True]))).astype(idx)
         first = members[bounds[:-1]]
         neg2_ut = np.empty((ds.dim, len(first)), dtype=ds.keys.dtype)
         sq = np.empty(len(first), dtype=ds.keys.dtype)
@@ -266,7 +276,7 @@ def _key_groups(ds: Datastore) -> _KeyGroups:
             sq[lo : lo + len(u)] = np.einsum("ij,ij->i", u, u)
             np.multiply(u.T, -2.0, out=neg2_ut[:, lo : lo + len(u)])  # exact
         max_norm = float(np.sqrt(sq.max()))
-        first = np.append(first, 0)
+        first = np.append(first, idx(0))
         grp = ds._groups = _KeyGroups(ds.keys, members, bounds, first, neg2_ut, sq, max_norm)
     return grp
 
@@ -292,55 +302,55 @@ def _eligible_groups(
     +inf for a group with no eligible row."""
     cache = grp.eligible
     if cache is None or cache[0] != exclude_talk or cache[1] is not ds.talk_ids:
+        idx = grp.members.dtype.type
         members, counts = grp.members, np.diff(grp.bounds, append=grp.bounds[-1])
         if excluded is not None:
             keep = np.append(~excluded[members], False)
             members = members[keep[:-1]]
-            counts = np.add.reduceat(keep, grp.bounds, dtype=np.intp)
+            counts = np.add.reduceat(keep, grp.bounds, dtype=idx)
         sq = np.where(counts[:-1] > 0, grp.sq, np.inf)
-        starts = np.cumsum(counts)
+        starts = np.cumsum(counts, dtype=idx)
         starts -= counts
-        cache = grp.eligible = (exclude_talk, ds.talk_ids, counts, starts, np.append(members, -1), sq)
+        cache = grp.eligible = (exclude_talk, ds.talk_ids, counts, starts, np.append(members, idx(-1)), sq)
     return cache[2:]
 
 
-def _margin_groups(est: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Each query's groups with estimates within its bound, as the rows of
-    a (B, width) matrix padded with the padding group G."""
-    qi, gi = np.nonzero(est <= bound[:, None])
-    per = np.bincount(qi, minlength=len(est))
-    part = np.full((len(est), per.max()), est.shape[1])
-    part[qi, np.arange(len(qi)) - np.repeat(np.cumsum(per) - per, per)] = gi
-    return part
-
-
 def _pick(
-    ds: Datastore, grp: _KeyGroups, Q: np.ndarray, groups: tuple, part: np.ndarray, take: int
+    ds: Datastore, grp: _KeyGroups, Q: np.ndarray, groups: tuple, qi: np.ndarray, gi: np.ndarray, take: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The `take` smallest (distance, row) pairs per query among the
-    eligible rows of its candidate groups `part` (B, W). A group's
-    distance is taken once, from its key."""
+    eligible rows of its margin set, given as (query qi, group gi) pairs,
+    qi ascending, that hold at least `take` eligible rows for each query.
+    A group's distance is taken once, from its key, _CACHE_ROWS pairs at a
+    time."""
     counts, starts, members, _ = groups
-    diff = (ds.keys[grp.first[part]] - Q[:, None, :]).reshape(-1, ds.dim)
-    d2 = np.einsum("ij,ij->i", diff, diff).reshape(part.shape)
-    if part.shape[1] == 1:  # one group holds every pick, in row order
-        return members[starts[part] + np.arange(take)], np.repeat(d2, take, axis=1)
-    cnt = counts[part]
-    each = np.arange(len(Q))[:, None]
-    if part.shape[1] > take:  # keep the groups up to the one that reaches take rows, ties too
-        order = d2.argsort(axis=1)
-        d2, part, cnt = d2[each, order], part[each, order], cnt[each, order]
-        cut = (cnt.cumsum(axis=1) >= take).argmax(axis=1)
-        keep = np.count_nonzero((d2 <= d2[each[:, 0], cut][:, None]).any(axis=0))
-        d2, part, cnt = d2[:, :keep], part[:, :keep], cnt[:, :keep]
-    offs = np.arange(min(take, int(cnt.max())))
-    at = starts[part][..., None] + offs  # (B, W, width)
-    at[offs >= cnt[..., None]] = -1  # past a group's eligible rows: row -1
-    rows = members[at]
-    d2 = np.where(rows < 0, np.inf, d2[..., None]).reshape(len(Q), -1)
-    rows = rows.reshape(len(Q), -1)
-    order = np.lexsort((rows.view(np.uint64), d2), axis=1)[:, :take]
-    return rows[each, order], d2[each, order]
+    if len(qi) == len(Q):  # query b's one group gi[b] holds its picks, in row order
+        diff = ds.keys[grp.first[gi]] - Q
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        return members[starts[gi][:, None] + np.arange(take)].astype(np.int64), np.repeat(d2[:, None], take, axis=1)
+    d2 = np.empty(len(qi), dtype=np.result_type(ds.keys, Q))
+    for lo in range(0, len(qi), _CACHE_ROWS):
+        diff = ds.keys[grp.first[gi[lo : lo + _CACHE_ROWS]]] - Q[qi[lo : lo + _CACHE_ROWS]]
+        d2[lo : lo + _CACHE_ROWS] = np.einsum("ij,ij->i", diff, diff)
+    # by query, then distance: keep each query's groups up to the one at
+    # which its rows reach take, ties too; a group offers at most take rows
+    order = np.lexsort((d2, qi))
+    qi, gi, d2 = qi[order], gi[order], d2[order]
+    cnt = counts[gi].astype(np.intp)
+    np.minimum(cnt, take, out=cnt)
+    reach = np.cumsum(cnt)
+    first = np.searchsorted(qi, np.arange(len(Q)))
+    cut = np.searchsorted(reach, reach[first] - cnt[first] + take)
+    keep = np.flatnonzero(d2 <= d2[cut][qi])
+    qi, gi, d2, cnt = qi[keep], gi[keep], d2[keep], cnt[keep]
+    # expand each kept group to its first cnt eligible rows, in row order
+    ends = np.cumsum(cnt)
+    owner = np.repeat(np.arange(len(gi)), cnt)
+    rows = members[np.arange(ends[-1]) + (starts[gi] - ends + cnt)[owner]]
+    d2, qi = d2[owner], qi[owner]
+    order = np.lexsort((rows, d2, qi))
+    picked = order[np.searchsorted(qi, np.arange(len(Q)))[:, None] + np.arange(take)]
+    return rows[picked].astype(np.int64), d2[picked]
 
 
 def _wrap_neighbors(
@@ -399,7 +409,14 @@ def query_exact_batch_rows(
     A scored group's distance comes from its key's float32 differences,
     summed as a full scan sums them; its rows share the key's bytes and so
     the distance. A group offers its first take eligible rows, and one
-    (distance, row) sort picks the result."""
+    (distance, row) sort picks the result.
+
+    Queries are ranked in blocks of _SEARCH_ELEMS // G, and each margin set
+    is scored as (query, group) pairs, _CACHE_ROWS at a time, so memory
+    stays bounded at any batch size. The block may change an estimate's
+    bits but not past the margin, which covers any summation order, and a
+    scored distance never depends on the batch: a query gets the same rows
+    and distances in any batch."""
     Q = _check_queries(ds, queries, k)
     excluded, eligible = _exclusion(ds, exclude_talk)
     take = min(k, eligible)
@@ -407,6 +424,16 @@ def query_exact_batch_rows(
         return np.zeros((len(Q), take), dtype=np.int64), np.zeros((len(Q), take), dtype=np.float32)
     grp = _key_groups(ds)
     groups = _eligible_groups(ds, grp, excluded, exclude_talk)
+    block = max(1, _SEARCH_ELEMS // len(grp.sq))
+    found = [_search_block(ds, grp, groups, Q[lo : lo + block], take) for lo in range(0, len(Q), block)]
+    return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
+
+
+def _search_block(
+    ds: Datastore, grp: _KeyGroups, groups: tuple, Q: np.ndarray, take: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """query_exact_batch_rows for a block of queries that _SEARCH_ELEMS
+    bounds: rank the groups, find each query's margin set, pick."""
     counts, _, _, sq = groups
     est = Q @ grp.neg2_ut  # (B, G), the one pass over the distinct keys
     est += sq
@@ -418,13 +445,14 @@ def query_exact_batch_rows(
         part = np.argpartition(est, slab - 1, axis=1)[:, :slab]
         part = part[each, est[each, part].argsort(axis=1)]
     pe = est[each, part]
-    cut = (counts[part[:, :take]].cumsum(axis=1) >= take).argmax(axis=1)
+    cut = (counts[part[:, :take]].cumsum(axis=1, dtype=np.intp) >= take).argmax(axis=1)
     norms = np.sqrt(np.einsum("ij,ij->i", Q, Q), dtype=np.float64)
     bound = pe[each[:, 0], cut] + _EXPANSION_SLACK * (grp.max_norm + norms) ** 2
-    width = np.count_nonzero((pe <= bound[:, None]).any(axis=0))
-    if width == slab < n_groups:  # the margin set may reach past the slab
-        return _pick(ds, grp, Q, groups, _margin_groups(est, bound), take)
-    return _pick(ds, grp, Q, groups, part[:, :width], take)
+    inside = pe <= bound[:, None]  # a prefix of each sorted row
+    if slab < n_groups and inside[:, -1].any():  # a margin set may reach past the slab
+        return _pick(ds, grp, Q, groups, *np.nonzero(est <= bound[:, None]), take)
+    qi, at = np.nonzero(inside)
+    return _pick(ds, grp, Q, groups, qi, part[qi, at], take)
 
 
 # Rows that k-means widens to float64 and scores against the centroids at

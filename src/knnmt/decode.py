@@ -5,6 +5,12 @@ Per step and per model, the retrieval distribution is interpolated with
 that model's own output distribution first; the ensemble average is taken
 afterwards. Interpolation weight 0 skips retrieval entirely, so results
 are then byte-identical to decoding without a datastore.
+
+Sentences decode in lockstep blocks of _DECODE_BLOCK: each step, one
+search per store and one mixing serve every live hypothesis of the block,
+and each sentence then picks its own candidates. A row's search result
+and distribution do not depend on the other rows, so a sentence gets the
+same bits in any block, alone included.
 """
 
 from __future__ import annotations
@@ -119,78 +125,96 @@ class _Hyp:
     states: tuple
 
 
+# Sentences decoded in lockstep. A fixed size, not a flag: every live
+# hypothesis of a block shares one search per store and one mixing a step,
+# so a block of a few sentences already makes those calls few.
+_DECODE_BLOCK = 8
+
+
+@dataclass
+class _Beam:
+    """One sentence's search: its contexts (one per model), length cap, and
+    live and completed hypotheses."""
+
+    contexts: list
+    max_len: int
+    live: list[_Hyp]
+    completed: list[_Hyp]
+
+    def advance(self, scores: np.ndarray, states: list[tuple], beam: int) -> None:
+        """Keep the top `beam` candidates of the live hypotheses' (H, V)
+        cumulative scores, by score, then token id, then parent index.
+        Token-major order makes the flat index rank (token, parent), so a
+        stable sort of the negated scores puts those candidates first."""
+        picked = np.argsort(-scores.T.ravel(), kind="stable")[:beam]
+        tokens, parents = np.divmod(picked, len(self.live))
+        next_live = []
+        for token, hi in zip(tokens.tolist(), parents.tolist()):
+            parent = self.live[hi]
+            score = float(scores[hi, token])
+            if token == EOS_ID:
+                self.completed.append(_Hyp(parent.tokens, score, parent.steps + 1, states[hi]))
+            else:
+                next_live.append(_Hyp(parent.tokens + (token,), score, parent.steps + 1, states[hi]))
+        self.live = next_live
+
+    def best(self) -> tuple[list[int], float]:
+        pool = self.completed if self.completed else self.live
+        best = min(pool, key=lambda h: (-(h.logprob / h.steps), h.tokens))
+        return list(best.tokens), best.logprob / best.steps
+
+
 def _advance_all(
     models: Sequence[StepModel],
     stores: Sequence[Datastore | None],
-    contexts: Sequence,
-    live: Sequence[_Hyp],
+    rows: Sequence[tuple[list, _Hyp]],
     cfg: DecodeConfig,
     lm: LmFunc | None,
-) -> list[tuple[np.ndarray, tuple]]:
-    """One decoding step for every live hypothesis at once: model steps
-    first, then a single batched retrieval per store covering the whole
-    beam, then the distribution mixing. Returns (distribution, states)
-    aligned with `live`. A hypothesis whose retrieval found nothing keeps
-    its model distribution."""
-    n_models = len(models)
+) -> tuple[np.ndarray, list[tuple]]:
+    """One decoding step for every (contexts, hypothesis) row of a block:
+    model steps first, one row at a time, then a single batched retrieval
+    per store over all the rows, then the mixing over the stacked (rows, V)
+    distributions. Returns the mixed distributions and each row's new
+    states. A row whose retrieval found nothing keeps its model
+    distribution."""
     stepped = [
         [
-            models[mi].step(
-                contexts[mi],
-                hyp.states[mi],
-                hyp.tokens[-1] if hyp.tokens else BOS_ID,
-            )
-            for mi in range(n_models)
+            model.step(contexts[mi], hyp.states[mi], hyp.tokens[-1] if hyp.tokens else BOS_ID)
+            for mi, model in enumerate(models)
         ]
-        for hyp in live
+        for contexts, hyp in rows
     ]
-    p_mixed: list[np.ndarray | None] = [None] * n_models
+    mixed = []
     for mi, store in enumerate(stores):
-        if store is None or cfg.w <= 0.0:
-            continue
-        queries = np.stack([step[mi][0] for step in stepped])
-        rows, dists = store.search_batch_rows(
-            queries, cfg.k, exclude_talk=cfg.exclude_talk
-        )
-        found = (rows >= 0).any(axis=1)
-        if found.any():
-            # a slice when every row found something: views, not copies
-            sel = slice(None) if found.all() else found
-            p = np.stack([step[mi][1] for step in stepped])
-            p_knn = knn_distributions(
-                store.values[rows[sel]], dists[sel], cfg.T, p.shape[1]
+        p = np.stack([step[mi][1] for step in stepped])
+        if store is not None and cfg.w > 0.0:
+            queries = np.stack([step[mi][0] for step in stepped])
+            found_rows, dists = store.search_batch_rows(
+                queries, cfg.k, exclude_talk=cfg.exclude_talk
             )
-            p[sel] = interpolate(p[sel], p_knn, cfg.w)
-            p_mixed[mi] = p
-    out = []
-    for hi, hyp in enumerate(live):
-        dists = [
-            stepped[hi][mi][1] if p_mixed[mi] is None else p_mixed[mi][hi]
-            for mi in range(n_models)
-        ]
-        p_avg = dists[0] if len(dists) == 1 else np.mean(np.stack(dists), axis=0)
-        if lm is not None and cfg.fusion_alpha > 0.0:
-            p_avg = fuse_lm(p_avg, lm(hyp.tokens), cfg.fusion_alpha)
-        out.append((p_avg, tuple(step[2] for step in stepped[hi])))
-    return out
+            found = (found_rows >= 0).any(axis=1)
+            if found.any():
+                # a slice when every row found something: views, not copies
+                sel = slice(None) if found.all() else found
+                p_knn = knn_distributions(
+                    store.values[found_rows[sel]], dists[sel], cfg.T, p.shape[1]
+                )
+                p[sel] = interpolate(p[sel], p_knn, cfg.w)
+        mixed.append(p)
+    # the ensemble mean adds the models' rows in model order, elementwise,
+    # so each row gets the bits a mean over that row alone gives
+    p = mixed[0] if len(mixed) == 1 else np.mean(np.stack(mixed), axis=0)
+    if lm is not None and cfg.fusion_alpha > 0.0:
+        for i, (_, hyp) in enumerate(rows):
+            p[i] = fuse_lm(p[i], lm(hyp.tokens), cfg.fusion_alpha)
+    return p, [tuple(step[2] for step in row) for row in stepped]
 
 
-def beam_decode(
+def _model_stores(
     models: StepModel | Sequence[StepModel],
     datastores: Datastore | Sequence[Datastore | None] | None,
-    source: Sentence,
-    cfg: DecodeConfig,
-    lm: LmFunc | None = None,
-) -> tuple[list[int], float]:
-    """Returns (token ids without EOS, length-normalized log probability).
-
-    Candidates each step are the top `beam` (cumulative score, then token
-    id, then parent index); a candidate ending in EOS consumes its slot and
-    moves to the completed pool, so with beam 1 decoding is exactly greedy.
-    Hypotheses still alive at the length cap are used only if nothing
-    completed. Final ranking is by cumulative log probability divided by
-    the number of steps taken, the EOS step included.
-    """
+) -> tuple[list[StepModel], list[Datastore | None]]:
+    """The models and one store (or None) per model, checked for count and dim."""
     model_list = [models] if isinstance(models, StepModel) else list(models)
     if datastores is None:
         store_list: list[Datastore | None] = [None] * len(model_list)
@@ -207,57 +231,72 @@ def beam_decode(
             raise ValueError(
                 f"datastore dim {store.dim} != model hidden dim {model.hidden_dim()}"
             )
-    if not source.token_ids:
+    return model_list, store_list
+
+
+def beam_decode(
+    models: StepModel | Sequence[StepModel],
+    datastores: Datastore | Sequence[Datastore | None] | None,
+    source: Sentence,
+    cfg: DecodeConfig,
+    lm: LmFunc | None = None,
+) -> tuple[list[int], float]:
+    """Returns (token ids without EOS, length-normalized log probability):
+    beam_decode_batch for one sentence.
+
+    Candidates each step are the top `beam` (cumulative score, then token
+    id, then parent index); a candidate ending in EOS consumes its slot and
+    moves to the completed pool, so with beam 1 decoding is exactly greedy.
+    Hypotheses still alive at the length cap are used only if nothing
+    completed. Final ranking is by cumulative log probability divided by
+    the number of steps taken, the EOS step included.
+    """
+    return beam_decode_batch(models, datastores, [source], cfg, lm)[0]
+
+
+def beam_decode_batch(
+    models: StepModel | Sequence[StepModel],
+    datastores: Datastore | Sequence[Datastore | None] | None,
+    sources: Sequence[Sentence],
+    cfg: DecodeConfig,
+    lm: LmFunc | None = None,
+) -> list[tuple[list[int], float]]:
+    """beam_decode of each source, in order, equal bit for bit to decoding
+    them one at a time. Blocks of _DECODE_BLOCK sentences step in lockstep:
+    each step takes one search per store and one mixing over every live
+    hypothesis of the block's unfinished sentences. Each row's search result
+    and distribution are the same in any batch, so the block changes how
+    many calls are made, not what any sentence gets."""
+    model_list, store_list = _model_stores(models, datastores)
+    if any(not source.token_ids for source in sources):
         raise ValueError("cannot decode an empty source")
-
-    contexts = [m.encode(source) for m in model_list]
-    max_len = cfg.max_len if cfg.max_len is not None else 2 * len(source.token_ids) + 8
-    live = [
-        _Hyp(
-            tokens=(),
-            logprob=0.0,
-            steps=0,
-            states=tuple(m.initial_state() for m in model_list),
-        )
-    ]
-    completed: list[_Hyp] = []
-
-    for _ in range(max_len):
-        advanced = _advance_all(model_list, store_list, contexts, live, cfg, lm)
-        candidates: list[tuple[float, int, int]] = []  # (score, token, parent)
-        parent_states: list[tuple] = []
-        for hi, hyp in enumerate(live):
-            p, new_states = advanced[hi]
-            parent_states.append(new_states)
+    out = []
+    for lo in range(0, len(sources), _DECODE_BLOCK):
+        beams = [
+            _Beam(
+                contexts=[m.encode(source) for m in model_list],
+                max_len=cfg.max_len if cfg.max_len is not None else 2 * len(source.token_ids) + 8,
+                live=[_Hyp((), 0.0, 0, tuple(m.initial_state() for m in model_list))],
+                completed=[],
+            )
+            for source in sources[lo : lo + _DECODE_BLOCK]
+        ]
+        step = 0
+        while active := [b for b in beams if b.live and step < b.max_len]:
+            rows = [(b.contexts, hyp) for b in active for hyp in b.live]
+            p, states = _advance_all(model_list, store_list, rows, cfg, lm)
+            logprob = np.array([hyp.logprob for _, hyp in rows])
             # tokens with probability exactly 0 get score -inf, never chosen
             with np.errstate(divide="ignore"):
-                scores = hyp.logprob + np.log(p)
-            top = np.lexsort((np.arange(len(scores)), -scores))[: cfg.beam]
-            candidates.extend((float(scores[t]), int(t), hi) for t in top)
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live = []
-        for score, token, hi in candidates[: cfg.beam]:
-            parent = live[hi]
-            if token == EOS_ID:
-                completed.append(
-                    _Hyp(parent.tokens, score, parent.steps + 1, parent_states[hi])
-                )
-            else:
-                next_live.append(
-                    _Hyp(
-                        parent.tokens + (token,),
-                        score,
-                        parent.steps + 1,
-                        parent_states[hi],
-                    )
-                )
-        live = next_live
-        if not live:
-            break
-
-    pool = completed if completed else live
-    best = min(pool, key=lambda h: (-(h.logprob / h.steps), h.tokens))
-    return list(best.tokens), best.logprob / best.steps
+                scores = logprob[:, None] + np.log(p)
+            at = 0
+            for b in active:
+                n = len(b.live)
+                b.advance(scores[at : at + n], states[at : at + n], cfg.beam)
+                at += n
+            step += 1
+        out += [b.best() for b in beams]
+    return out
 
 
 @dataclass(frozen=True)
@@ -284,12 +323,13 @@ def grid_search(
         raise ValueError("dev set is empty")
     if not T_grid or not w_grid:
         raise ValueError("grids must be non-empty")
+    sources = [src for src, _ in dev]
     refs = [list(tgt.token_ids) for _, tgt in dev]
     rows = []
     for T in T_grid:
         for w in w_grid:
             cfg = replace(base, k=k, T=float(T), w=float(w))
-            hyps = [beam_decode(models, datastores, src, cfg)[0] for src, _ in dev]
+            hyps = [hyp for hyp, _ in beam_decode_batch(models, datastores, sources, cfg)]
             rows.append((float(T), float(w), bleu(hyps, refs).bleu))
     best = min(rows, key=lambda r: (-r[2], r[1], r[0]))
     return GridSearchResult(

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BOS_ID, ParallelCorpus, Sentence, Vocab
+from .core import BOS_ID, ParallelCorpus, Sentence, Vocab, read_text
 
 Gram = tuple[int, ...]
 
@@ -213,7 +213,7 @@ def load_ngram_counts(
     floor: float = 0.01,
 ) -> NgramLm:
     """Load a counts listing written by save_ngram_counts."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise ValueError(f"{path}: missing NGRAM-COUNTS header")
     order = int(lines[0][len(HEADER_PREFIX) :])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import ParallelCorpus, Sentence, SentencePair, is_punctuation
 from .datastore import Datastore, build
-from .decode import DecodeConfig, beam_decode
+from .decode import DecodeConfig, beam_decode_batch
 from .metrics import bleu
 from .refmodel import StepModel
 
@@ -49,13 +49,15 @@ def diversify(
         raise ValueError("bitext is empty")
     decode_cfg = DecodeConfig(w=0.0, beam=cfg.beam)
     out: list[SentencePair] = list(bitext.pairs)
+    sources = [pair.source for pair in bitext.pairs]
+    targets = [pair.target for pair in bitext.pairs]
     for _ in range(cfg.rounds):
-        for pair in bitext.pairs:
-            hyp, _ = beam_decode(forward, None, pair.source, decode_cfg)
+        forward_hyps = beam_decode_batch(forward, None, sources, decode_cfg)
+        for pair, (hyp, _) in zip(bitext.pairs, forward_hyps):
             if hyp:
                 out.append(replace(pair, target=Sentence(tuple(hyp))))
-        for pair in bitext.pairs:
-            hyp, _ = beam_decode(backward, None, pair.target, decode_cfg)
+        backward_hyps = beam_decode_batch(backward, None, targets, decode_cfg)
+        for pair, (hyp, _) in zip(bitext.pairs, backward_hyps):
             if hyp:
                 out.append(replace(pair, source=Sentence(tuple(hyp))))
     if cfg.dedup:
@@ -222,13 +224,10 @@ def leave_one_out_eval(
     all_refs: list[list[int]] = []
     for talk in talks:
         pairs = [p for p in talkset.pairs if p.talk_id == talk]
+        sources = [p.source for p in pairs]
         knn_cfg = replace(cfg, exclude_talk=talk)
-        hyps_knn = [
-            beam_decode(model_list, datastores, p.source, knn_cfg)[0] for p in pairs
-        ]
-        hyps_base = [
-            beam_decode(model_list, None, p.source, cfg)[0] for p in pairs
-        ]
+        hyps_knn = [h for h, _ in beam_decode_batch(model_list, datastores, sources, knn_cfg)]
+        hyps_base = [h for h, _ in beam_decode_batch(model_list, None, sources, cfg)]
         refs = [list(p.target.token_ids) for p in pairs]
         per_talk.append(
             TalkResult(

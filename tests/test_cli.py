@@ -768,7 +768,7 @@ class TestDataErrors:
         def broken(*args, **kwargs):
             raise TypeError("a defect")
 
-        monkeypatch.setattr("knnmt.cli.beam_decode", broken)
+        monkeypatch.setattr("knnmt.cli.beam_decode_batch", broken)
         argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
         argv += ["--corpus", str(root / "talks.tsv"), "--out", str(tmp_path / "h.jsonl")]
         with pytest.raises(TypeError, match="a defect"):
@@ -806,3 +806,33 @@ class TestVocabSize:
         assert f"!= vocabulary size {len(tokens) + delta}" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.txt"]
+
+    def test_vocab_out_not_written_on_data_error(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        short = tmp_path / "short.txt"
+        short.write_text("\n".join((root / "v.txt").read_text().splitlines()[:-1]) + "\n")
+        argv = ["train", "--vocab", str(short), "--vocab-out", str(tmp_path / "vout.txt")]
+        argv += ["--out", str(tmp_path / "t.rmdl"), *in_dir(root, self.COMMANDS["train"])]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "checkpoint vocab size" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.txt"]
+
+
+class TestNotUtf8:
+    """A text input whose bytes are not UTF-8 is a data error that names
+    the file."""
+
+    @pytest.mark.parametrize("flag", ["--vocab", "--lm", "--corpus"])
+    def test_error_names_the_file(self, pipeline, tmp_path, capsys, flag):
+        root = pipeline[0]
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("w1 w2\tw3 café\n".encode("latin-1"))
+        given = {"--vocab": root / "v.txt", "--lm": root / "lm.txt", "--corpus": root / "talks.tsv", flag: bad}
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--out", str(tmp_path / "h.jsonl")]
+        argv += [str(part) for name, path in given.items() for part in (name, path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not UTF-8 text\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["latin1.txt"]

@@ -313,6 +313,35 @@ class TestKeyGroups:
 
 
 class TestSearchBatch:
+    def test_wide_margin_memory_does_not_grow_with_the_batch(self, monkeypatch):
+        # distinct keys on a sphere, a hair apart in radius: a query at the
+        # origin holds about half the groups in its margin set. Ranked in
+        # blocks of 4 queries and scored ragged, 64 queries take no more
+        # transient memory than 4 (padded to the widest set, they took 15x)
+        rng = np.random.default_rng(60)
+        n, dim = 4_000, 16
+        dirs = rng.normal(size=(n, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ds = Datastore(
+            dim=dim,
+            keys=(dirs * (10 + rng.uniform(0, 1e-3, size=(n, 1)))).astype(np.float32),
+            values=np.zeros(n, dtype=np.uint32),
+            talk_ids=np.zeros(n, dtype=np.uint32),
+        )
+        monkeypatch.setattr(knnmt.datastore, "_SEARCH_ELEMS", 4 * n)
+        ds.search_batch_rows(np.zeros((1, dim), np.float32), 8)  # the caches
+
+        def peak(batch):
+            Q = np.zeros((batch, dim), np.float32)
+            tracemalloc.start()
+            try:
+                rows, _ = ds.search_batch_rows(Q, 8)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64) < 1.2 * peak(4)
+
     def test_rows_match_single_queries_bitwise(self):
         ds = random_store(seed=25, dup_rows=3)
         rng = np.random.default_rng(26)

@@ -147,6 +147,37 @@ def test_batch_rows_equal_single_query_rows(case, with_index):
         assert dists[b].tobytes() == one_dists[0].tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    duplicate_stores(),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1 << 19, 4096, 512), (1, 4096, 512), (7, 3, 512), (20, 5, 0)]),
+)
+def test_stacked_batch_equals_per_row_calls(case, n_queries, seed, sizes):
+    # a stacked batch of up to 40 queries against one call per row; the
+    # small budgets split it into blocks of one query or a few (a
+    # _SEARCH_ELEMS below the group count still takes one query a block)
+    # and score the margin pairs a few at a time, on the sorted and the
+    # slab paths
+    ds, Q, k, exclude = case
+    rng = np.random.default_rng(seed)
+    Q = Q[rng.integers(0, len(Q), size=n_queries)]
+    Q = (Q + rng.normal(scale=0.2, size=Q.shape) * rng.integers(0, 2, size=(n_queries, 1))).astype(np.float32)
+    elems, cache_rows, sort_whole = sizes
+    with mock.patch.multiple(
+        knnmt.datastore, _SEARCH_ELEMS=elems, _CACHE_ROWS=cache_rows, _SORT_WHOLE=sort_whole
+    ):
+        rows, dists = knnmt.datastore.query_exact_batch_rows(ds, Q, k, exclude)
+        singles = [knnmt.datastore.query_exact_batch_rows(ds, q[None, :], k, exclude) for q in Q]
+    assert rows.dtype == np.int64
+    for b, (one_rows, one_dists) in enumerate(singles):
+        assert rows[b].tolist() == one_rows[0].tolist()
+        assert dists[b].tobytes() == one_dists[0].tobytes()
+        want_rows, want_d2 = scan(ds, Q[b], k, exclude)
+        assert rows[b].tolist() == want_rows.tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(stores(), st.sampled_from([0.5, 10.0, 50.0]), st.booleans())
 def test_neighbor_list_distribution_equals_batched_row(case, T, with_index):
