@@ -422,6 +422,15 @@ def _add_store_flags(sp) -> None:
     )
 
 
+def _add_lang_flag(sp) -> None:
+    sp.add_argument(
+        "--lang",
+        choices=("forward", "reverse"),
+        default="forward",
+        help="reverse swaps source and target",
+    )
+
+
 def _add_mixing_flags(sp, grid: bool = False) -> None:
     """--k, then --T and --w, or with `grid` their comma-separated grids."""
     sp.add_argument("--k", type=int, default=8, help="neighbors per query")
@@ -465,12 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--embed-dim", type=int, default=32)
     sp.add_argument("--hidden-dim", type=int, default=64)
     sp.add_argument("--adapter-rank", type=int, default=8)
-    sp.add_argument(
-        "--lang",
-        choices=("forward", "reverse"),
-        default="forward",
-        help="reverse swaps source and target",
-    )
+    _add_lang_flag(sp)
 
     sp = command("build-datastore", _cmd_build_datastore, "record (hidden state, token) entries for a corpus")
     _add_common_model_flags(sp, multi=False)
@@ -481,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ivf-nprobe", type=int, default=1)
     sp.add_argument("--ivf-out", default=None, help="IVF index to write")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--lang", choices=("forward", "reverse"), default="forward")
+    _add_lang_flag(sp)
 
     sp = command("decode", _cmd_decode, "beam-decode a corpus, optionally with retrieval and LM fusion")
     _add_common_model_flags(sp, multi=True)
@@ -495,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lm", default=None, help="n-gram counts for fusion")
     sp.add_argument("--lm-domain", default=None, help="domain n-gram counts to mix in")
     sp.add_argument("--lm-lambda", type=float, default=0.5, help="domain LM mixture weight")
-    sp.add_argument("--lang", choices=("forward", "reverse"), default="forward")
+    _add_lang_flag(sp)
 
     sp = command("grid-search", _cmd_grid_search, "sweep retrieval temperature and weight on a dev set")
     _add_common_model_flags(sp, multi=True)
@@ -504,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_beam_flags(sp)
     sp.add_argument("--dev", required=True, help="dev corpus TSV")
     sp.add_argument("--out", required=True, help="TSV of (T, w, BLEU) rows")
-    sp.add_argument("--lang", choices=("forward", "reverse"), default="forward")
+    _add_lang_flag(sp)
 
     sp = command("diversify", _cmd_diversify, "augment a bitext with round-trip translations")
     sp.add_argument("--corpus", required=True, help="bitext TSV to augment")

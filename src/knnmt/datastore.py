@@ -185,19 +185,8 @@ def _select(
 # many candidates only costs time.
 _EXPANSION_SLACK = 1e-4
 
-# Groups past min(take, G) in the slab; more only cost time, fewer just
-# mean gathering the margin set from every group more often. Up to
-# _SORT_WHOLE groups every estimate is sorted instead: at 4 queries on a
-# 2-vCPU VM a sort took 4.7 us at 145 groups and 11.6 us at 445, a slab
-# partition and its sort 8.2 and 9.9 us, and the slab then needs that
-# second pass whenever the margin set is wider (on 87% of the calls to
-# the 445-group store of the talks benchmark).
-_SLAB_EXTRA = 8
-_SORT_WHOLE = 512
-
-# Key rows hashed, copied or compared at once while grouping, and (query,
-# group) pairs scored at once, so that no full-size temporary of the keys
-# is made.
+# Key rows copied or compared at once while grouping, and (query, group)
+# pairs scored at once, so that no full-size temporary of the keys is made.
 _CACHE_ROWS = 4096
 
 # Queries times groups that exact search ranks at once. A fixed size, not a
@@ -208,40 +197,15 @@ _CACHE_ROWS = 4096
 _SEARCH_ELEMS = 1 << 19
 
 
-def _words(rows: np.ndarray) -> np.ndarray:
-    """Key rows as 32-bit words, so that they hash and compare by bytes."""
-    return np.ascontiguousarray(rows).view(np.uint32)
-
-
-def _row_hashes(keys: np.ndarray) -> np.ndarray:
-    """64-bit FNV-1a of each row's words; byte-equal rows hash equal."""
-    hashes = np.empty(len(keys), dtype=np.uint64)
-    for lo in range(0, len(keys), _CACHE_ROWS):
-        h = hashes[lo : lo + _CACHE_ROWS]
-        h[:] = 0xCBF29CE484222325
-        for word in _words(keys[lo : lo + _CACHE_ROWS]).T:
-            h ^= word
-            h *= np.uint64(0x100000001B3)
-    return hashes
-
-
-def _same_bytes(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether key rows a[i] and b[i] are equal byte for byte."""
-    same = np.empty(len(a), dtype=bool)
-    for lo in range(0, len(a), _CACHE_ROWS):
-        hi = lo + _CACHE_ROWS
-        same[lo:hi] = (_words(keys[a[lo:hi]]) == _words(keys[b[lo:hi]])).all(axis=1)
-    return same
-
-
 @dataclass
 class _KeyGroups:
     """Exact search's cache for one keys array: the rows grouped by key
-    bytes, group g holding members[bounds[g]:bounds[g + 1]] in ascending
-    row order, first[g] the first of them (row 0 for a padding group G);
-    -2 U^T and |U|^2 of the distinct keys U; and `eligible`, the groups'
-    eligible rows for the latest excluded talk. Row indices and counts are
-    int32 unless the store has 2**31 rows or more."""
+    bytes, in the byte order of the keys, group g holding
+    members[bounds[g]:bounds[g + 1]] in ascending row order, first[g] the
+    first of them (row 0 for a padding group G); -2 U^T and |U|^2 of the
+    distinct keys U; and `eligible`, the groups' eligible rows for the
+    latest excluded talk. Row indices and counts are int32 unless the store
+    has 2**31 rows or more."""
 
     keys: np.ndarray
     members: np.ndarray
@@ -255,18 +219,22 @@ class _KeyGroups:
 
 def _key_groups(ds: Datastore) -> _KeyGroups:
     """The store's key groups, rebuilt whenever it holds another keys
-    array. Rows are sorted by hash and neighbours with equal hashes are
-    compared byte for byte; after a collision the sort also takes every
-    word of the key, so rows whose bytes differ never share a group."""
+    array. A stable sort of the rows as byte strings puts byte-equal rows
+    next to each other in ascending row order; neighbours are compared
+    _CACHE_ROWS at a time, so the keys are never gathered at full size.
+    Rows equal in value but not in bytes, such as 0.0 and -0.0, form
+    separate groups."""
     grp = ds.__dict__.get("_groups")
     if grp is None or grp.keys is not ds.keys:
         idx = np.int32 if len(ds) < 2**31 else np.int64
-        hashes = _row_hashes(ds.keys)
-        members = np.argsort(hashes, kind="stable").astype(idx)
-        same = hashes[members[1:]] == hashes[members[:-1]]
-        if not _same_bytes(ds.keys, members[:-1][same], members[1:][same]).all():
-            members = np.lexsort((*_words(ds.keys).T[::-1], hashes)).astype(idx)
-            same = _same_bytes(ds.keys, members[:-1], members[1:])
+        keys = np.ascontiguousarray(ds.keys)
+        rows = keys.view(np.dtype((np.void, keys.itemsize * ds.dim)))[:, 0]
+        members = np.argsort(rows, kind="stable").astype(idx)
+        same = np.empty(len(rows) - 1, dtype=bool)
+        for lo in range(0, len(rows), _CACHE_ROWS):
+            run = rows[members[lo : lo + _CACHE_ROWS + 1]]
+            same[lo : lo + _CACHE_ROWS] = run[1:] == run[:-1]
+        del run  # gathered rows, not to be held while -2 U^T is filled
         bounds = np.flatnonzero(np.concatenate(([True], ~same, [True]))).astype(idx)
         first = members[bounds[:-1]]
         neg2_ut = np.empty((ds.dim, len(first)), dtype=ds.keys.dtype)
@@ -324,10 +292,6 @@ def _pick(
     A group's distance is taken once, from its key, _CACHE_ROWS pairs at a
     time."""
     counts, starts, members, _ = groups
-    if len(qi) == len(Q):  # query b's one group gi[b] holds its picks, in row order
-        diff = ds.keys[grp.first[gi]] - Q
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        return members[starts[gi][:, None] + np.arange(take)].astype(np.int64), np.repeat(d2[:, None], take, axis=1)
     d2 = np.empty(len(qi), dtype=np.result_type(ds.keys, Q))
     for lo in range(0, len(qi), _CACHE_ROWS):
         diff = ds.keys[grp.first[gi[lo : lo + _CACHE_ROWS]]] - Q[qi[lo : lo + _CACHE_ROWS]]
@@ -395,16 +359,12 @@ def query_exact_batch_rows(
     of byte-equal rows an estimate |U|^2 - 2 U.q, +inf if no row of the
     group is eligible. It omits the per-query |q|^2 and lies within
     m = _EXPANSION_SLACK * (max key norm + |q|)^2 of the distance it ranks.
-    Sorted by estimate, the groups' eligible rows reach take at some
-    estimate tau within the first min(take, G) groups: each group with a
-    finite estimate holds an eligible row, and if fewer than take do, they
-    hold them all. A group whose estimate exceeds tau + m lies farther
-    than each of those take rows, so scoring every group of the margin set
-    within tau + m, ties kept, finds the result; scoring more groups only
-    costs time. Every estimate is sorted when there are at most
-    _SORT_WHOLE groups. Otherwise a slab of the min(take, G) + _SLAB_EXTRA
-    smallest estimates, in order, holds each query's margin set when that
-    is no wider, and a wider one is gathered from all groups.
+    One partition finds each query's min(take, G) smallest estimates, and
+    sorted they reach take eligible rows at some estimate tau: each group
+    with a finite estimate holds an eligible row, and if fewer than take do,
+    they hold them all. A group whose estimate exceeds tau + m lies farther
+    than each of those take rows, so one compare picks the margin set, every
+    group within tau + m, ties kept, and scoring it finds the result.
 
     A scored group's distance comes from its key's float32 differences,
     summed as a full scan sums them; its rows share the key's bytes and so
@@ -437,22 +397,15 @@ def _search_block(
     counts, _, _, sq = groups
     est = Q @ grp.neg2_ut  # (B, G), the one pass over the distinct keys
     est += sq
-    each, n_groups = np.arange(len(Q))[:, None], est.shape[1]
-    slab = min(take + _SLAB_EXTRA, n_groups)
-    if n_groups <= _SORT_WHOLE:
-        slab, part = n_groups, est.argsort(axis=1)
-    else:
-        part = np.argpartition(est, slab - 1, axis=1)[:, :slab]
-        part = part[each, est[each, part].argsort(axis=1)]
-    pe = est[each, part]
-    cut = (counts[part[:, :take]].cumsum(axis=1, dtype=np.intp) >= take).argmax(axis=1)
+    each = np.arange(len(Q))[:, None]
+    kth = min(take, est.shape[1]) - 1
+    near = np.argpartition(est, kth, axis=1)[:, : kth + 1]
+    near = near[each, est[each, near].argsort(axis=1)]
+    cut = (counts[near].cumsum(axis=1, dtype=np.intp) >= take).argmax(axis=1)
+    tau = est[each[:, 0], near[each[:, 0], cut]]
     norms = np.sqrt(np.einsum("ij,ij->i", Q, Q), dtype=np.float64)
-    bound = pe[each[:, 0], cut] + _EXPANSION_SLACK * (grp.max_norm + norms) ** 2
-    inside = pe <= bound[:, None]  # a prefix of each sorted row
-    if slab < n_groups and inside[:, -1].any():  # a margin set may reach past the slab
-        return _pick(ds, grp, Q, groups, *np.nonzero(est <= bound[:, None]), take)
-    qi, at = np.nonzero(inside)
-    return _pick(ds, grp, Q, groups, qi, part[qi, at], take)
+    bound = tau + _EXPANSION_SLACK * (grp.max_norm + norms) ** 2
+    return _pick(ds, grp, Q, groups, *np.nonzero(est <= bound[:, None]), take)
 
 
 # Rows that k-means widens to float64 and scores against the centroids at

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ParallelCorpus, Sentence, SentencePair, is_punctuation
+from .core import ParallelCorpus, Sentence, is_punctuation
 from .datastore import Datastore, build
 from .decode import DecodeConfig, beam_decode_batch
 from .metrics import bleu
@@ -41,25 +41,23 @@ def diversify(
 
     Each round translates the original sources with the forward model and
     the original targets with the backward model, so no output pair is
-    synthetic on both sides. Output order is originals first, then forward
-    then backward pairs per round; exact duplicates keep the first copy.
-    A round-trip that produces an empty translation is dropped.
+    synthetic on both sides. Decoding is deterministic, so every round
+    yields the same pairs: they are decoded once and repeated. Output order
+    is originals first, then forward then backward pairs per round; exact
+    duplicates keep the first copy. A round-trip that produces an empty
+    translation is dropped.
     """
     if len(bitext) == 0:
         raise ValueError("bitext is empty")
     decode_cfg = DecodeConfig(w=0.0, beam=cfg.beam)
-    out: list[SentencePair] = list(bitext.pairs)
-    sources = [pair.source for pair in bitext.pairs]
-    targets = [pair.target for pair in bitext.pairs]
-    for _ in range(cfg.rounds):
-        forward_hyps = beam_decode_batch(forward, None, sources, decode_cfg)
-        for pair, (hyp, _) in zip(bitext.pairs, forward_hyps):
-            if hyp:
-                out.append(replace(pair, target=Sentence(tuple(hyp))))
-        backward_hyps = beam_decode_batch(backward, None, targets, decode_cfg)
-        for pair, (hyp, _) in zip(bitext.pairs, backward_hyps):
-            if hyp:
-                out.append(replace(pair, source=Sentence(tuple(hyp))))
+    forward_hyps = beam_decode_batch(forward, None, [pair.source for pair in bitext.pairs], decode_cfg)
+    backward_hyps = beam_decode_batch(backward, None, [pair.target for pair in bitext.pairs], decode_cfg)
+    synthetic = [
+        replace(pair, target=Sentence(tuple(hyp))) for pair, (hyp, _) in zip(bitext.pairs, forward_hyps) if hyp
+    ] + [
+        replace(pair, source=Sentence(tuple(hyp))) for pair, (hyp, _) in zip(bitext.pairs, backward_hyps) if hyp
+    ]
+    out = list(bitext.pairs) + synthetic * cfg.rounds
     if cfg.dedup:
         seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
         unique = []

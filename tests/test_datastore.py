@@ -208,23 +208,25 @@ def assert_scan_equal(ds, Q, k, exclude_talk=None):
 
 
 class TestKeyGroups:
-    def test_colliding_hashes_never_merge_groups(self, monkeypatch):
-        # every row hashes alike, so only the byte comparison tells keys apart
-        monkeypatch.setattr(
-            knnmt.datastore, "_row_hashes", lambda keys: np.zeros(len(keys), dtype=np.uint64)
-        )
+    def test_byte_equal_rows_share_a_group(self):
+        # rows equal in value but not in bytes stay apart: 0.0 and -0.0
+        # (keys 0 and 1 of grouped_store), and two NaNs whose payloads differ
         ds = grouped_store(seed=55)
         Q = ds.keys[:6] + np.random.default_rng(56).normal(scale=0.3, size=(6, 4)).astype(np.float32)
         Q[0] = 0.0
         for k, talk in ((1, None), (8, 1), (40, 2), (400, 3)):
             assert_scan_equal(ds, Q, k, talk)
-        grp = ds._groups
-        groups = np.split(grp.members, grp.bounds[1:-1])
-        words = ds.keys.view(np.uint32)
-        assert len(groups) == len(np.unique(words, axis=0))
-        for rows in groups:
-            assert (words[rows] == words[rows[0]]).all()
-            assert (np.diff(rows) > 0).all()
+        words = ds.keys.view(np.uint32).copy()
+        words[[7, 70, 170]] = np.array([[0x7FC00000], [0x7FC00001], [0x7FC00000]])
+        nan_store = Datastore(dim=ds.dim, keys=words.view(np.float32), values=ds.values, talk_ids=ds.talk_ids)
+        for store in (ds, nan_store):
+            grp = knnmt.datastore._key_groups(store)
+            groups = np.split(grp.members, grp.bounds[1:-1])
+            words = store.keys.view(np.uint32)
+            assert len(groups) == len(np.unique(words, axis=0))
+            for rows in groups:
+                assert (words[rows] == words[rows[0]]).all()
+                assert (np.diff(rows) > 0).all()
 
     def test_replaced_keys_rebuild_the_groups(self):
         ds = grouped_store(seed=57)
@@ -255,12 +257,11 @@ class TestKeyGroups:
         assert_scan_equal(ds, Q, 6, 1)
 
     @pytest.mark.parametrize("shift", range(8))
-    def test_margin_set_wider_than_the_slab(self, monkeypatch, shift):
-        # eight keys all 2 from the origin, and a slab of min(take, G) groups:
-        # every slab group ties with tau, so the groups the slab left out must
-        # be fetched; which group holds row 0 moves with the shift
-        monkeypatch.setattr(knnmt.datastore, "_SORT_WHOLE", 0)
-        monkeypatch.setattr(knnmt.datastore, "_SLAB_EXTRA", 0)
+    def test_margin_set_wider_than_the_slab(self, shift):
+        # eight keys all 2 from the origin: every group ties with tau, so the
+        # margin set holds all eight, more than the slab of min(take, G)
+        # groups that the partition finds; which group holds row 0 moves
+        # with the shift
         shell = np.concatenate((2 * np.eye(4), -2 * np.eye(4))).astype(np.float32)
         ds = Datastore(
             dim=4,
@@ -299,8 +300,9 @@ class TestKeyGroups:
             ds.talk_ids[0] = 1
 
     def test_first_search_holds_no_full_size_key_copy(self):
-        # measured 1.56x the key bytes: -2 U^T (1x) plus the grouping; the
-        # two full-size temporaries of a whole-array transpose made 2.02x
+        # measured 1.49x the key bytes: -2 U^T (1x) plus the byte sort of
+        # the grouping; the two full-size temporaries of a whole-array
+        # transpose made 2.02x
         ds = random_store(seed=54, n=20_000, dim=64)
         Q = np.random.default_rng(55).normal(size=(4, 64)).astype(np.float32)
         tracemalloc.start()

@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import knnmt.pipeline
 from knnmt.core import ParallelCorpus, Sentence, SentencePair, build_vocab
-from knnmt.decode import DecodeConfig, beam_decode
+from knnmt.decode import DecodeConfig, beam_decode, beam_decode_batch
 from knnmt.pipeline import (
     DiversifyConfig,
     FilterConfig,
@@ -83,6 +84,22 @@ class TestDiversify:
         one = diversify(corpus, copy, copy, DiversifyConfig(rounds=1, dedup=False))
         two = diversify(corpus, copy, copy, DiversifyConfig(rounds=2, dedup=False))
         assert len(two.pairs) == len(one.pairs) + 2 * len(corpus.pairs)
+
+    def test_rounds_repeat_one_decoded_block(self, monkeypatch):
+        corpus = random_corpus(4, 6, 12)
+        copy = CopyModel(12)
+        one = diversify(corpus, copy, copy, DiversifyConfig(rounds=1, dedup=False))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return beam_decode_batch(*args, **kwargs)
+
+        monkeypatch.setattr(knnmt.pipeline, "beam_decode_batch", counted)
+        three = diversify(corpus, copy, copy, DiversifyConfig(rounds=3, dedup=False))
+        synthetic = one.pairs[len(corpus.pairs) :]
+        assert three.pairs == corpus.pairs + synthetic * 3
+        assert len(calls) == 2
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

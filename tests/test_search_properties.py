@@ -70,9 +70,9 @@ def duplicate_stores(draw):
     """A store of a few distinct keys with many copies each. Talk ids are
     drawn per row, or per key so that excluding a talk empties whole
     groups; k runs from 1 to past the eligible rows, and is often below
-    the number of keys, where a slab can leave groups out. Queries sit on
-    or near a key, or on lattice points that tie with many keys; keys on a
-    shell around the origin all tie for a query there."""
+    the number of keys, where ties make the margin set wider than take.
+    Queries sit on or near a key, or on lattice points that tie with many
+    keys; keys on a shell around the origin all tie for a query there."""
     n_keys = draw(st.integers(1, 12))
     n = draw(st.integers(n_keys, 150))
     dim = draw(st.integers(1, 6))
@@ -107,15 +107,10 @@ def duplicate_stores(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(duplicate_stores(), st.sampled_from([(512, 8), (0, 8), (0, 1), (0, 0)]))
-def test_grouped_search_on_duplicate_keys_equals_brute_force_scan(case, sizes):
-    # _SORT_WHOLE = 0 partitions a slab instead of sorting every group; a
-    # slab of min(take, G) + 0 or 1 groups often leaves part of the margin
-    # set out, so the search partitions again
+@given(duplicate_stores())
+def test_grouped_search_on_duplicate_keys_equals_brute_force_scan(case):
     ds, Q, k, exclude = case
-    sort_whole, extra = sizes
-    with mock.patch.multiple(knnmt.datastore, _SORT_WHOLE=sort_whole, _SLAB_EXTRA=extra):
-        rows, dists = ds.search_batch_rows(Q, k, exclude)
+    rows, dists = ds.search_batch_rows(Q, k, exclude)
     for b, q in enumerate(Q):
         want_rows, want_d2 = scan(ds, q, k, exclude)
         assert rows[b].tolist() == want_rows.tolist()
@@ -152,22 +147,19 @@ def test_batch_rows_equal_single_query_rows(case, with_index):
     duplicate_stores(),
     st.integers(1, 40),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([(1 << 19, 4096, 512), (1, 4096, 512), (7, 3, 512), (20, 5, 0)]),
+    st.sampled_from([(1 << 19, 4096), (1, 4096), (7, 3), (20, 5)]),
 )
 def test_stacked_batch_equals_per_row_calls(case, n_queries, seed, sizes):
     # a stacked batch of up to 40 queries against one call per row; the
     # small budgets split it into blocks of one query or a few (a
-    # _SEARCH_ELEMS below the group count still takes one query a block)
-    # and score the margin pairs a few at a time, on the sorted and the
-    # slab paths
+    # _SEARCH_ELEMS below the group count still takes one query a block),
+    # and score the margin pairs and compare the grouped rows a few at a time
     ds, Q, k, exclude = case
     rng = np.random.default_rng(seed)
     Q = Q[rng.integers(0, len(Q), size=n_queries)]
     Q = (Q + rng.normal(scale=0.2, size=Q.shape) * rng.integers(0, 2, size=(n_queries, 1))).astype(np.float32)
-    elems, cache_rows, sort_whole = sizes
-    with mock.patch.multiple(
-        knnmt.datastore, _SEARCH_ELEMS=elems, _CACHE_ROWS=cache_rows, _SORT_WHOLE=sort_whole
-    ):
+    elems, cache_rows = sizes
+    with mock.patch.multiple(knnmt.datastore, _SEARCH_ELEMS=elems, _CACHE_ROWS=cache_rows):
         rows, dists = knnmt.datastore.query_exact_batch_rows(ds, Q, k, exclude)
         singles = [knnmt.datastore.query_exact_batch_rows(ds, q[None, :], k, exclude) for q in Q]
     assert rows.dtype == np.int64
