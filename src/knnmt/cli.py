@@ -123,6 +123,15 @@ def _resolve_vocab(ns, corpus_paths: Sequence[str]) -> Vocab:
     return build_vocab(lists, ns.max_vocab)
 
 
+def _add_vocab_flags(sp, vocab_out: bool = False) -> None:
+    """--vocab and --max-vocab for _resolve_vocab, with train's --vocab-out
+    between them when `vocab_out`."""
+    sp.add_argument("--vocab", default=None, help="existing vocabulary file")
+    if vocab_out:
+        sp.add_argument("--vocab-out", default=None, help="write the vocabulary here")
+    sp.add_argument("--max-vocab", type=int, default=200, help="cap when building a vocabulary")
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -294,10 +303,9 @@ def _cmd_grid_search(ns) -> tuple[dict, dict | None]:
         models,
         stores,
         dev,
-        k=ns.k,
         T_grid=ns.T_grid,
         w_grid=ns.w_grid,
-        base=DecodeConfig(beam=ns.beam, max_len=ns.max_len),
+        base=DecodeConfig(k=ns.k, beam=ns.beam, max_len=ns.max_len),
     )
     lines = ["T\tw\tBLEU"]
     lines += [f"{T:g}\t{w:g}\t{score:.6f}" for T, w, score in result.rows]
@@ -391,7 +399,7 @@ def _cmd_lm_train(ns) -> tuple[dict, dict | None]:
     sents = [
         p.target if ns.side == "target" else p.source for p in corpus.pairs
     ]
-    lm = lm_train(sents, ns.order, len(vocab), floor=ns.floor)
+    lm = lm_train(sents, ns.order, len(vocab))
     save_ngram_counts(lm, vocab, ns.out)
     return {"command": "lm-train", "grams": len(lm.counts), "order": ns.order, "out": ns.out}, None
 
@@ -460,9 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("train", _cmd_train, "train a model or an adapter on a TSV corpus")
     sp.add_argument("--corpus", required=True, help="training corpus TSV")
     sp.add_argument("--out", required=True, help="checkpoint to write")
-    sp.add_argument("--vocab", default=None, help="existing vocabulary file")
-    sp.add_argument("--vocab-out", default=None, help="write the vocabulary here")
-    sp.add_argument("--max-vocab", type=int, default=200, help="cap when building a vocabulary")
+    _add_vocab_flags(sp, vocab_out=True)
     sp.add_argument("--init", default=None, help="checkpoint to start from")
     sp.add_argument("--adapters-only", action="store_true", help="freeze the base, train an adapter")
     sp.add_argument("--adapter-tag", default="default", help="adapter name in the checkpoint")
@@ -526,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--top-k", type=int, required=True, help="pairs to keep")
     sp.add_argument("--max-order", type=int, default=2, help="largest n-gram order scored")
     sp.add_argument("--out", required=True, help="selected corpus TSV")
-    sp.add_argument("--vocab", default=None, help="existing vocabulary file")
-    sp.add_argument("--max-vocab", type=int, default=200, help="cap when building a vocabulary")
+    _add_vocab_flags(sp)
 
     sp = command("leave-one-out", _cmd_leave_one_out, "score retrieval vs baseline, holding each talk out")
     _add_common_model_flags(sp, multi=True)
@@ -546,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vocab", required=True)
     sp.add_argument("--order", type=int, default=3)
     sp.add_argument("--side", choices=("source", "target"), default="target")
-    sp.add_argument("--floor", type=float, default=0.01, help="uniform smoothing mass")
     sp.add_argument("--out", required=True, help="counts file to write")
 
     return parser

@@ -95,12 +95,6 @@ class Datastore:
     def __len__(self) -> int:
         return len(self.values)
 
-    def search(
-        self, query: np.ndarray, k: int, exclude_talk: int | None = None
-    ) -> list[Neighbor]:
-        """search_batch for one query vector."""
-        return self.search_batch(_one_query(self, query), k, exclude_talk)[0]
-
     def search_batch(
         self, queries: np.ndarray, k: int, exclude_talk: int | None = None
     ) -> list[list[Neighbor]]:
@@ -202,10 +196,9 @@ class _KeyGroups:
     """Exact search's cache for one keys array: the rows grouped by key
     bytes, in the byte order of the keys, group g holding
     members[bounds[g]:bounds[g + 1]] in ascending row order, first[g] the
-    first of them (row 0 for a padding group G); -2 U^T and |U|^2 of the
-    distinct keys U; and `eligible`, the groups' eligible rows for the
-    latest excluded talk. Row indices and counts are int32 unless the store
-    has 2**31 rows or more."""
+    first of them; -2 U^T and |U|^2 of the distinct keys U; and `eligible`,
+    the groups' eligible rows for the latest excluded talk. Row indices and
+    counts are int32 unless the store has 2**31 rows or more."""
 
     keys: np.ndarray
     members: np.ndarray
@@ -244,7 +237,6 @@ def _key_groups(ds: Datastore) -> _KeyGroups:
             sq[lo : lo + len(u)] = np.einsum("ij,ij->i", u, u)
             np.multiply(u.T, -2.0, out=neg2_ut[:, lo : lo + len(u)])  # exact
         max_norm = float(np.sqrt(sq.max()))
-        first = np.append(first, idx(0))
         grp = ds._groups = _KeyGroups(ds.keys, members, bounds, first, neg2_ut, sq, max_norm)
     return grp
 
@@ -265,21 +257,20 @@ def _eligible_groups(
     ds: Datastore, grp: _KeyGroups, excluded: np.ndarray | None, exclude_talk: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(counts, starts, members, sq): group g's eligible rows are
-    members[starts[g]:starts[g] + counts[g]], ascending; counts and starts
-    end with the empty padding group G and members with a -1; |U|^2 is
-    +inf for a group with no eligible row."""
+    members[starts[g]:starts[g] + counts[g]], ascending; |U|^2 is +inf for
+    a group with no eligible row."""
     cache = grp.eligible
     if cache is None or cache[0] != exclude_talk or cache[1] is not ds.talk_ids:
         idx = grp.members.dtype.type
-        members, counts = grp.members, np.diff(grp.bounds, append=grp.bounds[-1])
+        members, counts = grp.members, np.diff(grp.bounds)
         if excluded is not None:
-            keep = np.append(~excluded[members], False)
-            members = members[keep[:-1]]
-            counts = np.add.reduceat(keep, grp.bounds, dtype=idx)
-        sq = np.where(counts[:-1] > 0, grp.sq, np.inf)
+            keep = ~excluded[members]
+            members = members[keep]
+            counts = np.add.reduceat(keep, grp.bounds[:-1], dtype=idx)
+        sq = np.where(counts > 0, grp.sq, np.inf)
         starts = np.cumsum(counts, dtype=idx)
         starts -= counts
-        cache = grp.eligible = (exclude_talk, ds.talk_ids, counts, starts, np.append(members, idx(-1)), sq)
+        cache = grp.eligible = (exclude_talk, ds.talk_ids, counts, starts, members, sq)
     return cache[2:]
 
 

@@ -311,13 +311,12 @@ def grid_search(
     models: StepModel | Sequence[StepModel],
     datastores: Datastore | Sequence[Datastore | None] | None,
     dev: Sequence[tuple[Sentence, Sentence]],
-    k: int = 8,
     T_grid: Sequence[float] = T_GRID_DEFAULT,
     w_grid: Sequence[float] = W_GRID_DEFAULT,
     base: DecodeConfig = DecodeConfig(),
 ) -> GridSearchResult:
-    """Decode the dev pairs at every (T, w) and score corpus BLEU against
-    the references. Rows come back in grid order (T major). Best cell is
+    """Decode the dev pairs at every (T, w), the other fields from `base`,
+    and score corpus BLEU against the references. Rows come back in grid order (T major). Best cell is
     the highest BLEU; exact ties prefer smaller w, then smaller T."""
     if not dev:
         raise ValueError("dev set is empty")
@@ -328,7 +327,7 @@ def grid_search(
     rows = []
     for T in T_grid:
         for w in w_grid:
-            cfg = replace(base, k=k, T=float(T), w=float(w))
+            cfg = replace(base, T=float(T), w=float(w))
             hyps = [hyp for hyp, _ in beam_decode_batch(models, datastores, sources, cfg)]
             rows.append((float(T), float(w), bleu(hyps, refs).bleu))
     best = min(rows, key=lambda r: (-r[2], r[1], r[0]))

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BOS_ID, ParallelCorpus, Sentence, Vocab, read_text
+from .core import BOS_ID, UNK_ID, ParallelCorpus, Sentence, Vocab, read_text
 
 Gram = tuple[int, ...]
 
@@ -212,17 +212,25 @@ def load_ngram_counts(
     weights: Sequence[float] | None = None,
     floor: float = 0.01,
 ) -> NgramLm:
-    """Load a counts listing written by save_ngram_counts."""
+    """Load a counts listing written by save_ngram_counts. A token not in
+    the vocabulary (a literal <unk> is in it) or a gram listed twice is an
+    error naming the file and the line."""
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise ValueError(f"{path}: missing NGRAM-COUNTS header")
     order = int(lines[0][len(HEADER_PREFIX) :])
     counts: dict[Gram, int] = {}
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         count_str, toks = line.split("\t")
-        counts[tuple(vocab.encode(toks.split(" ")))] = int(count_str)
+        gram = tuple(vocab.encode(toks.split(" ")))
+        for tok, i in zip(toks.split(" "), gram):
+            if i == UNK_ID and tok != vocab.tokens[UNK_ID]:
+                raise ValueError(f"{path}: line {n}: token {tok!r} is not in the vocabulary")
+        if gram in counts:
+            raise ValueError(f"{path}: line {n}: gram {toks!r} is listed twice")
+        counts[gram] = int(count_str)
     if weights is None:
         weights = (1.0 / order,) * order
     return NgramLm(order, len(vocab), counts, tuple(weights), floor)

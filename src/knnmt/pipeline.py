@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ParallelCorpus, Sentence, is_punctuation
+from .core import ParallelCorpus, Sentence, SentencePair, is_punctuation
 from .datastore import Datastore, build
 from .decode import DecodeConfig, beam_decode_batch
 from .metrics import bleu
@@ -58,16 +58,16 @@ def diversify(
         replace(pair, source=Sentence(tuple(hyp))) for pair, (hyp, _) in zip(bitext.pairs, backward_hyps) if hyp
     ]
     out = list(bitext.pairs) + synthetic * cfg.rounds
-    if cfg.dedup:
-        seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        unique = []
-        for pair in out:
-            key = (pair.source.token_ids, pair.target.token_ids)
-            if key not in seen:
-                seen.add(key)
-                unique.append(pair)
-        out = unique
-    return ParallelCorpus(tuple(out), lang=bitext.lang)
+    return ParallelCorpus(_first_copies(out) if cfg.dedup else tuple(out), lang=bitext.lang)
+
+
+def _first_copies(pairs: Sequence[SentencePair]) -> tuple[SentencePair, ...]:
+    """The pairs in order, each exact duplicate (source and target) dropped
+    after its first copy."""
+    unique: dict[tuple[tuple[int, ...], tuple[int, ...]], SentencePair] = {}
+    for pair in pairs:
+        unique.setdefault((pair.source.token_ids, pair.target.token_ids), pair)
+    return tuple(unique.values())
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ def filter_corpus(
     """Drop pairs whose side-length ratio exceeds max_ratio in either
     direction or whose longer side exceeds max_len, and collapse exact
     duplicate pairs to their first occurrence. Idempotent."""
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     kept = []
     for pair in bitext.pairs:
         s_len = len(pair.source.token_ids)
@@ -131,12 +130,8 @@ def filter_corpus(
             continue
         if s_len > cfg.max_ratio * t_len or t_len > cfg.max_ratio * s_len:
             continue
-        key = (pair.source.token_ids, pair.target.token_ids)
-        if key in seen:
-            continue
-        seen.add(key)
         kept.append(pair)
-    return ParallelCorpus(tuple(kept), lang=bitext.lang)
+    return ParallelCorpus(_first_copies(kept), lang=bitext.lang)
 
 
 def corrupt_case_punct(tokens: Sequence[str]) -> list[str]:

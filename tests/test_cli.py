@@ -102,6 +102,13 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_lm_train_has_no_floor_flag(self, work, capsys):
+        # the counts file records no floor, so the flag could change nothing
+        _, vocab = train_small(work)
+        argv = ["lm-train", "--corpus", str(work / "train.tsv"), "--vocab", str(vocab)]
+        assert main([*argv, "--out", str(work / "lm.txt"), "--floor", "0.5"]) == 1
+        assert not (work / "lm.txt").exists()
+
     def test_lm_domain_without_lm_is_usage_error(self, work, capsys):
         model, vocab = train_small(work)
         code = main(
@@ -761,6 +768,24 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["random.bin"]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("7\tzebra\n2\tw1\n", "line 2: token 'zebra' is not in the vocabulary"),
+            ("2\tw1\n3\tw1\n", "line 3: gram 'w1' is listed twice"),
+        ],
+    )
+    def test_counts_file_that_does_not_match_the_vocabulary(self, pipeline, tmp_path, capsys, body, message):
+        root = pipeline[0]
+        lm = tmp_path / "lm.txt"
+        lm.write_text("NGRAM-COUNTS v1 order=1\n" + body)
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--lm", str(lm), "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {lm}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["lm.txt"]
 
     def test_other_exceptions_are_defects(self, pipeline, tmp_path, monkeypatch):
         root = pipeline[0]

@@ -350,14 +350,14 @@ class TestSearchBatch:
         Q = rng.normal(size=(12, 16)).astype(np.float32)
         Q[3] = ds.keys[0]  # exact hit that ties across the duplicate rows
         for k in (1, 4, 20):
-            assert ds.search_batch(Q, k) == [ds.search(q, k) for q in Q]
+            assert ds.search_batch(Q, k) == [ds.search_batch(q[None], k)[0] for q in Q]
 
     def test_exclusion_matches_single_queries(self):
         ds = random_store(seed=27)
         rng = np.random.default_rng(28)
         Q = rng.normal(size=(6, 16)).astype(np.float32)
         batch = ds.search_batch(Q, 8, exclude_talk=2)
-        assert batch == [ds.search(q, 8, exclude_talk=2) for q in Q]
+        assert batch == [ds.search_batch(q[None], 8, exclude_talk=2)[0] for q in Q]
         assert all(n.talk_id != 2 for row in batch for n in row)
 
     def test_ivf_path_matches_single_queries(self):
@@ -365,7 +365,7 @@ class TestSearchBatch:
         ds.index = train_ivf(ds, n_clusters=6, seed=0, nprobe=2)
         rng = np.random.default_rng(30)
         Q = rng.normal(size=(5, 16)).astype(np.float32)
-        assert ds.search_batch(Q, 4) == [ds.search(q, 4) for q in Q]
+        assert ds.search_batch(Q, 4) == [ds.search_batch(q[None], 4)[0] for q in Q]
 
     def test_empty_store_returns_empty_rows(self):
         ds = Datastore(
@@ -515,9 +515,9 @@ class TestIvf:
         ds = random_store(seed=18)
         rng = np.random.default_rng(19)
         q = rng.normal(size=16).astype(np.float32)
-        flat = ds.search(q, 4)
+        flat = ds.search_batch(q[None], 4)[0]
         ds.index = train_ivf(ds, n_clusters=8, seed=0, nprobe=8)
-        assert ds.search(q, 4) == flat  # full probe count stays exact
+        assert ds.search_batch(q[None], 4)[0] == flat  # full probe count stays exact
 
 
 def duplicate_store(seed, n, dim, n_distinct):

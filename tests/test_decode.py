@@ -8,6 +8,7 @@ from knnmt.datastore import Datastore, Neighbor, build
 from knnmt.decode import (
     DecodeConfig,
     beam_decode,
+    beam_decode_batch,
     fuse_lm,
     grid_search,
     interpolate,
@@ -294,3 +295,15 @@ class TestGridSearch:
         model, store, dev = copy_setup
         with pytest.raises(ValueError):
             grid_search(model, store, dev, T_grid=())
+
+    def test_cells_take_k_and_beam_from_base(self, copy_setup, monkeypatch):
+        model, store, dev = copy_setup
+        seen = []
+
+        def spy(models, stores, sources, cfg):
+            seen.append((cfg.k, cfg.beam, cfg.T, cfg.w))
+            return beam_decode_batch(models, stores, sources, cfg)
+
+        monkeypatch.setattr("knnmt.decode.beam_decode_batch", spy)
+        grid_search(model, store, dev, T_grid=(10.0, 50.0), w_grid=(0.3,), base=DecodeConfig(k=3, beam=2))
+        assert seen == [(3, 2, 10.0, 0.3), (3, 2, 50.0, 0.3)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from knnmt.core import BOS_ID, Sentence, build_vocab
+from knnmt.core import BOS_ID, UNK_ID, Sentence, build_vocab
 from knnmt.ngram import (
     LmInterpConfig,
     NgramLm,
@@ -196,3 +196,25 @@ class TestCountsIo:
         path.write_text("something else\n")
         with pytest.raises(ValueError):
             load_ngram_counts(path, vocab)
+
+    def test_unknown_token_rejected_with_file_and_line(self, tmp_path):
+        vocab = build_vocab([["yak"]], max_size=8)
+        path = tmp_path / "counts.txt"
+        path.write_text("NGRAM-COUNTS v1 order=1\n7\tzebra\n2\tyak\n")
+        with pytest.raises(ValueError, match=r"counts.txt: line 2: token 'zebra' is not in the vocabulary"):
+            load_ngram_counts(path, vocab)
+
+    def test_repeated_gram_rejected(self, tmp_path):
+        vocab = build_vocab([["yak"]], max_size=8)
+        path = tmp_path / "counts.txt"
+        path.write_text("NGRAM-COUNTS v1 order=2\n2\tyak\n1\t<s> yak\n3\tyak\n")
+        with pytest.raises(ValueError, match=r"counts.txt: line 4: gram 'yak' is listed twice"):
+            load_ngram_counts(path, vocab)
+
+    def test_literal_unk_round_trips(self, tmp_path):
+        vocab = build_vocab([["a", "b"]], max_size=8)
+        lm = lm_train([sent(4, UNK_ID, 5), sent(UNK_ID)], order=2, vocab_size=len(vocab))
+        path = tmp_path / "counts.txt"
+        save_ngram_counts(lm, vocab, path)
+        assert "<unk>" in path.read_text()
+        assert load_ngram_counts(path, vocab).counts == lm.counts
