@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -66,19 +67,25 @@ def tokenize(text: str) -> list[str]:
     as separate tokens. No lowercasing; deterministic; empty text gives []."""
     tokens: list[str] = []
     for chunk in text.split():
-        lead: list[str] = []
-        trail: list[str] = []
-        while chunk and unicodedata.category(chunk[0]).startswith("P"):
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and unicodedata.category(chunk[-1]).startswith("P"):
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trail))
+        tokens.extend(_split_chunk(chunk))
     return tokens
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _split_chunk(chunk: str) -> tuple[str, ...]:
+    """One whitespace chunk's tokens. Cached: a corpus repeats its words, so
+    most chunks are split once."""
+    lead: list[str] = []
+    trail: list[str] = []
+    while chunk and unicodedata.category(chunk[0]).startswith("P"):
+        lead.append(chunk[0])
+        chunk = chunk[1:]
+    while chunk and unicodedata.category(chunk[-1]).startswith("P"):
+        trail.append(chunk[-1])
+        chunk = chunk[:-1]
+    if chunk:
+        lead.append(chunk)
+    return (*lead, *reversed(trail))
 
 
 @dataclass(frozen=True)

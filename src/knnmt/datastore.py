@@ -11,6 +11,7 @@ to a stored key has distance exactly 0 and duplicate keys tie exactly.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -111,33 +112,51 @@ class Datastore:
         return query_exact_batch_rows(self, queries, k, exclude_talk)
 
 
+# Pairs teacher-forced in lockstep. A fixed size, not a flag: each target
+# position of a block is one step_batch call over the block's pairs still
+# that long, so a few hundred pairs already make those calls few.
+_BUILD_BLOCK = 256
+
+
 def build(model: StepModel, bitext: ParallelCorpus) -> Datastore:
     """Teacher-force each pair's reference target and record one
     (hidden state, next target token, talk id) entry per step, EOS included.
-    Entry order follows corpus order."""
+    Entry order follows corpus order.
+
+    Pairs step in blocks of _BUILD_BLOCK: at target position t one
+    step_batch call serves every pair of the block whose target plus EOS is
+    longer than t, and its hidden rows go straight to their entries. Each
+    row's step is the one a pair-by-pair loop makes, so the keys are too."""
     dim = model.hidden_dim()
-    keys: list[np.ndarray] = []
-    values: list[int] = []
-    talks: list[int] = []
-    for pair in bitext.pairs:
-        context = model.encode(pair.source)
-        state = model.initial_state()
-        prev = BOS_ID
-        for tgt in list(pair.target.token_ids) + [EOS_ID]:
-            hidden, _, state = model.step(context, state, prev)
-            keys.append(hidden.astype(np.float32))
-            values.append(tgt)
-            talks.append(pair.talk_id)
-            prev = tgt
-    n = len(values)
-    key_arr = (
-        np.stack(keys) if n else np.zeros((0, dim), dtype=np.float32)
+    pairs = bitext.pairs
+    lengths = np.fromiter((len(p.target) + 1 for p in pairs), dtype=np.int64, count=len(pairs))
+    starts = np.cumsum(lengths) - lengths
+    n = int(lengths.sum())
+    values = np.fromiter(
+        itertools.chain.from_iterable(p.target.token_ids + (EOS_ID,) for p in pairs),
+        dtype=np.uint32,
+        count=n,
     )
+    talks = np.fromiter((p.talk_id for p in pairs), dtype=np.uint32, count=len(pairs))
+    keys = np.empty((n, dim), dtype=np.float32)
+    for lo in range(0, len(pairs), _BUILD_BLOCK):
+        # longest first, so the pairs still stepping at t are a prefix
+        order = lo + np.argsort(-lengths[lo : lo + _BUILD_BLOCK], kind="stable")
+        contexts = [model.encode(pairs[i].source) for i in order]
+        states = [model.initial_state() for _ in order]
+        block_lengths = lengths[order]
+        prevs = np.full(len(order), BOS_ID, dtype=np.uint32)
+        for t in range(int(block_lengths[0])):
+            live = int(np.count_nonzero(block_lengths > t))
+            rows = starts[order[:live]] + t
+            hidden, _, states = model.step_batch(contexts[:live], states[:live], prevs[:live])
+            keys[rows] = hidden
+            prevs = values[rows]
     return Datastore(
         dim=dim,
-        keys=key_arr,
-        values=np.asarray(values, dtype=np.uint32),
-        talk_ids=np.asarray(talks, dtype=np.uint32),
+        keys=keys,
+        values=values,
+        talk_ids=np.repeat(talks, lengths),
     )
 
 

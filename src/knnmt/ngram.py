@@ -212,25 +212,44 @@ def load_ngram_counts(
     weights: Sequence[float] | None = None,
     floor: float = 0.01,
 ) -> NgramLm:
-    """Load a counts listing written by save_ngram_counts. A token not in
-    the vocabulary (a literal <unk> is in it) or a gram listed twice is an
-    error naming the file and the line."""
+    """Load a counts listing written by save_ngram_counts. A malformed
+    line (not two tab-separated fields, a count that is not an integer
+    >= 1, an order outside [1, 5]), a token not in the vocabulary (a
+    literal <unk> is in it) or a gram listed twice is an error naming the
+    file and the line."""
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise ValueError(f"{path}: missing NGRAM-COUNTS header")
-    order = int(lines[0][len(HEADER_PREFIX) :])
+    order = _line_int(path, 1, "order", lines[0][len(HEADER_PREFIX) :])
+    if not 1 <= order <= 5:
+        raise ValueError(f"{path}: line 1: order must be in [1, 5], got {order}")
     counts: dict[Gram, int] = {}
     for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        count_str, toks = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(
+                f"{path}: line {n}: expected count<TAB>tokens, got {len(fields)} tab-separated fields"
+            )
+        count_str, toks = fields
+        count = _line_int(path, n, "count", count_str)
+        if count < 1:
+            raise ValueError(f"{path}: line {n}: count must be >= 1, got {count}")
         gram = tuple(vocab.encode(toks.split(" ")))
         for tok, i in zip(toks.split(" "), gram):
             if i == UNK_ID and tok != vocab.tokens[UNK_ID]:
                 raise ValueError(f"{path}: line {n}: token {tok!r} is not in the vocabulary")
         if gram in counts:
             raise ValueError(f"{path}: line {n}: gram {toks!r} is listed twice")
-        counts[gram] = int(count_str)
+        counts[gram] = count
     if weights is None:
         weights = (1.0 / order,) * order
     return NgramLm(order, len(vocab), counts, tuple(weights), floor)
+
+
+def _line_int(path: str | Path, lineno: int, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: {what} {text!r} is not an integer") from None

@@ -2,10 +2,11 @@
 
 The encoder is a mean of source embeddings; the decoder is a single
 recurrent cell queried one step at a time, so decoding strategies and
-datastore construction only ever talk to the per-step interface. Residual
-bottleneck adapters can be inserted before the output projection and
-trained with the base parameters frozen. Gradients are written out by
-hand, which keeps the whole model checkable against finite differences.
+datastore construction only ever talk to the per-step interface, for one
+row or a batch of rows. Residual bottleneck adapters can be inserted before
+the output projection and trained with the base parameters frozen.
+Gradients are written out by hand, which keeps the whole model checkable
+against finite differences.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Collection
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ class StepModel(ABC):
     encode() turns a source sentence into a fixed context; step() consumes
     one previous token and returns the new hidden state, the distribution
     over the vocabulary, and the recurrent state to carry forward.
+    step_batch() does the same for a batch of rows at once.
     """
 
     @abstractmethod
@@ -50,11 +52,28 @@ class StepModel(ABC):
     @abstractmethod
     def hidden_dim(self) -> int: ...
 
+    def step_batch(
+        self, contexts: Sequence[Any], states: Sequence[Any], prev_tokens: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, Sequence[Any]]:
+        """step() for each of B rows: the (B, d) hidden states, the (B, V)
+        distributions and the B new states. This one calls step() a row at
+        a time; a model may override it with one call over all the rows
+        that gives each row the bits step() gives it."""
+        stepped = [
+            self.step(context, state, token)
+            for context, state, token in zip(contexts, states, prev_tokens, strict=True)
+        ]
+        if not stepped:
+            raise ValueError("step_batch needs at least one row")
+        hidden, dists, new_states = zip(*stepped)
+        return np.stack(hidden), np.stack(dists), list(new_states)
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Over the last axis, so one row or a stack of rows."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -174,22 +193,51 @@ class RefModel(StepModel):
         _, _, h, dist = self._forward(context, state, prev_token)
         return h, dist, h
 
+    def step_batch(
+        self, contexts: Sequence[np.ndarray], states: Sequence[np.ndarray], prev_tokens: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All rows in one _forward call, with step()'s checks. The new
+        states are the rows of the returned (B, d) hidden states."""
+        p = self.params
+        C = np.asarray(contexts)
+        S = np.asarray(states)
+        tokens = np.asarray(prev_tokens)
+        if tokens.ndim != 1 or not len(tokens) or tokens.dtype.kind not in "iu":
+            raise ValueError(
+                f"prev_tokens must be B >= 1 integer token ids, got {tokens.dtype} of shape {tokens.shape}"
+            )
+        if C.shape != (len(tokens), p.embed_dim):
+            raise ValueError(f"contexts shape {C.shape}, want ({len(tokens)}, {p.embed_dim})")
+        if S.shape != (len(tokens), p.hidden_dim):
+            raise ValueError(f"states shape {S.shape}, want ({len(tokens)}, {p.hidden_dim})")
+        outside = (tokens < 0) | (tokens >= p.vocab_size)
+        if outside.any():
+            raise ValueError(f"token id {tokens[outside][0]} outside vocabulary")
+        _, _, h, dist = self._forward(C, S, tokens)
+        return h, dist, h
+
     def _forward(
-        self, context: np.ndarray, state: np.ndarray, prev_token: int
+        self, context: np.ndarray, state: np.ndarray, prev_token: int | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
         """The cell, unchecked: tanh(W_c c + W_y e + W_h s + b), then the
         active adapter, then the softmax. Returns the tanh output, the
         adapter's bottleneck input (None without an adapter), the hidden
-        state and the next-token distribution. step and training share it."""
+        state and the next-token distribution. step, step_batch and
+        training share it. One row or a (B, ...) stack of rows: np.matvec
+        hands each row to the same BLAS gemv that W @ x calls, so a row
+        gets the same bits either way (a gemm, X @ W.T, does not)."""
         p = self.params
-        pre = np.tanh(p.W_c @ context + p.W_y @ p.E[prev_token] + p.W_h @ state + p.b)
+        pre = np.tanh(
+            np.matvec(p.W_c, context) + np.matvec(p.W_y, p.E[prev_token])
+            + np.matvec(p.W_h, state) + p.b
+        )
         adapter = self._adapter()
         if adapter is None:
             z, h = None, pre
         else:
-            z = adapter.W_down @ pre
-            h = pre + adapter.W_up @ np.maximum(z, 0.0)
-        return pre, z, h, softmax(p.U @ h + p.b_o)
+            z = np.matvec(adapter.W_down, pre)
+            h = pre + np.matvec(adapter.W_up, np.maximum(z, 0.0))
+        return pre, z, h, softmax(np.matvec(p.U, h) + p.b_o)
 
 
 @dataclass(frozen=True)
@@ -250,22 +298,22 @@ def _pair_grads(
         pre, z, d_logits = cells[t]  # the distribution is not needed again
         d_logits[targets[t]] -= 1.0
         if base:
-            grads["U"] += np.outer(d_logits, states[t + 1])
+            grads["U"] += d_logits[:, None] * states[t + 1]
             grads["b_o"] += d_logits
         dh = p.U.T @ d_logits + d_state
         if adapter is not None:
             relu_z = np.maximum(z, 0.0)
-            grads["A.W_up"] += np.outer(dh, relu_z)
+            grads["A.W_up"] += dh[:, None] * relu_z
             dz = (adapter.W_up.T @ dh) * (z > 0)
-            grads["A.W_down"] += np.outer(dz, pre)
+            grads["A.W_down"] += dz[:, None] * pre
             d_pre = dh + adapter.W_down.T @ dz
         else:
             d_pre = dh
         da = (1.0 - pre**2) * d_pre
         if base:
-            grads["W_c"] += np.outer(da, context)
-            grads["W_y"] += np.outer(da, p.E[prevs[t]])
-            grads["W_h"] += np.outer(da, states[t])
+            grads["W_c"] += da[:, None] * context
+            grads["W_y"] += da[:, None] * p.E[prevs[t]]
+            grads["W_h"] += da[:, None] * states[t]
             grads["b"] += da
             grads["E"][prevs[t]] += p.W_y.T @ da
             d_context += p.W_c.T @ da

@@ -774,6 +774,10 @@ class TestDataErrors:
         [
             ("7\tzebra\n2\tw1\n", "line 2: token 'zebra' is not in the vocabulary"),
             ("2\tw1\n3\tw1\n", "line 3: gram 'w1' is listed twice"),
+            ("2 w1\n", "line 2: expected count<TAB>tokens, got 1 tab-separated fields"),
+            ("3\tw1\textra\n", "line 2: expected count<TAB>tokens, got 3 tab-separated fields"),
+            ("x\tw1\n", "line 2: count 'x' is not an integer"),
+            ("2\tw2\n-5\tw1\n", "line 3: count must be >= 1, got -5"),
         ],
     )
     def test_counts_file_that_does_not_match_the_vocabulary(self, pipeline, tmp_path, capsys, body, message):

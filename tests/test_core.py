@@ -58,6 +58,14 @@ class TestTokenize:
         text = "The quick (brown) fox, obviously."
         assert tokenize(text) == tokenize(text)
 
+    def test_repeated_chunks_give_fresh_lists(self):
+        # chunks are split once and cached; a caller editing the list it
+        # got must not change what the next call gets
+        first = tokenize("(ok). (ok).")
+        assert first == ["(", "ok", ")", ".", "(", "ok", ")", "."]
+        first.clear()
+        assert tokenize("(ok).") == ["(", "ok", ")", "."]
+
 
 class TestBuildVocab:
     def test_reserved_first_then_frequency(self):

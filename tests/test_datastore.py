@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import knnmt.datastore
-from knnmt.core import EOS_ID, BOS_ID, Sentence
+from knnmt.core import EOS_ID, BOS_ID, ParallelCorpus, Sentence
 from knnmt.datastore import (
     Datastore,
     build,
@@ -18,7 +18,7 @@ from knnmt.datastore import (
     train_ivf,
 )
 from knnmt.refmodel import RefModel, init_params
-from helpers import make_corpus, random_corpus
+from helpers import CopyModel, make_corpus, random_corpus
 from kmeans_reference import train_ivf as reference_train_ivf
 
 
@@ -48,7 +48,72 @@ def oracle_indices(ds, query, k, exclude_talk=None):
     return [i for _, i in out[:k]]
 
 
+def build_pair_by_pair(model, corpus):
+    """Reference build: one step() per entry, pair after pair."""
+    keys, values, talks = [], [], []
+    for pair in corpus:
+        context, state, prev = model.encode(pair.source), model.initial_state(), BOS_ID
+        for tgt in list(pair.target.token_ids) + [EOS_ID]:
+            hidden, _, state = model.step(context, state, prev)
+            keys.append(np.asarray(hidden, dtype=np.float32))
+            values.append(tgt)
+            talks.append(pair.talk_id)
+            prev = tgt
+    return np.stack(keys), np.array(values, dtype=np.uint32), np.array(talks, dtype=np.uint32)
+
+
+def mixed_length_corpus(seed, n_pairs, vocab_size):
+    """Targets of 1 to 9 tokens over several talks, in no length order."""
+    pairs = []
+    for talk in range(3):
+        pairs += random_corpus(seed + talk, n_pairs, vocab_size, min_len=1, max_len=9, talk_id=talk).pairs
+    return ParallelCorpus(tuple(pairs[::2] + pairs[1::2]))
+
+
 class TestBuild:
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("adapter", [False, True])
+    def test_blocks_equal_the_pair_by_pair_loop(self, monkeypatch, block, adapter):
+        if block is not None:
+            monkeypatch.setattr(knnmt.datastore, "_BUILD_BLOCK", block)
+        model = RefModel(init_params(20, seed=7))
+        if adapter:
+            model.add_adapter("dom", seed=2)
+            model.adapters["dom"].W_up += 0.05
+            model.set_active_adapter("dom")
+        corpus = mixed_length_corpus(11, 100, 20)
+        ds = build(model, corpus)
+        keys, values, talks = build_pair_by_pair(model, corpus)
+        assert ds.keys.dtype == np.float32 and ds.keys.tobytes() == keys.tobytes()
+        assert ds.values.dtype == np.uint32 and ds.values.tobytes() == values.tobytes()
+        assert ds.talk_ids.dtype == np.uint32 and ds.talk_ids.tobytes() == talks.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_base_class_step_batch_builds_the_same_store(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(knnmt.datastore, "_BUILD_BLOCK", block)
+        model = CopyModel(20, dim=5)
+        corpus = mixed_length_corpus(3, 10, 20)
+        ds = build(model, corpus)
+        keys, values, talks = build_pair_by_pair(model, corpus)
+        assert ds.keys.tobytes() == keys.tobytes()
+        assert ds.values.tobytes() == values.tobytes()
+        assert ds.talk_ids.tobytes() == talks.tobytes()
+
+    def test_memory_stays_near_the_key_bytes(self):
+        # the keys go straight into one preallocated array: no per-entry
+        # arrays and no second full-size copy
+        model = RefModel(init_params(40, seed=1))
+        corpus = random_corpus(5, 2000, 40, min_len=8, max_len=12)
+        tracemalloc.start()
+        try:
+            ds = build(model, corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) >= 20_000
+        assert peak < 1.5 * ds.keys.nbytes
+
     def test_teacher_forcing_records_every_target_token_and_eos(self):
         corpus = make_corpus([([4, 5], [6, 7, 8]), ([5], [9])], talk_id=2)
         model = RefModel(init_params(12, seed=0))
@@ -73,12 +138,11 @@ class TestBuild:
         )
 
     def test_empty_corpus_yields_empty_store(self):
-        from knnmt.core import ParallelCorpus
-
         model = RefModel(init_params(8))
         ds = build(model, ParallelCorpus((), lang="xx"))
         assert len(ds) == 0
-        assert ds.keys.shape == (0, model.hidden_dim())
+        assert ds.keys.shape == (0, model.hidden_dim()) and ds.keys.dtype == np.float32
+        assert ds.values.dtype == ds.talk_ids.dtype == np.uint32
         assert query_exact(ds, np.zeros(model.hidden_dim(), dtype=np.float32), 5) == []
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,24 @@ class TestCountsIo:
         path = tmp_path / "counts.txt"
         path.write_text("NGRAM-COUNTS v1 order=2\n2\tyak\n1\t<s> yak\n3\tyak\n")
         with pytest.raises(ValueError, match=r"counts.txt: line 4: gram 'yak' is listed twice"):
+            load_ngram_counts(path, vocab)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("NGRAM-COUNTS v1 order=1\n2 yak\n", "line 2: expected count<TAB>tokens, got 1 tab-separated fields"),
+            ("NGRAM-COUNTS v1 order=1\n3\tyak\textra\n", "line 2: expected count<TAB>tokens, got 3 tab-separated fields"),
+            ("NGRAM-COUNTS v1 order=1\n2\tyak\nx\t<s>\n", "line 3: count 'x' is not an integer"),
+            ("NGRAM-COUNTS v1 order=1\n\n-5\tyak\n", "line 3: count must be >= 1, got -5"),
+            ("NGRAM-COUNTS v1 order=two\n2\tyak\n", "line 1: order 'two' is not an integer"),
+            ("NGRAM-COUNTS v1 order=6\n2\tyak\n", "line 1: order must be in [1, 5], got 6"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, body, message):
+        vocab = build_vocab([["yak"]], max_size=8)
+        path = tmp_path / "counts.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
             load_ngram_counts(path, vocab)
 
     def test_literal_unk_round_trips(self, tmp_path):

@@ -22,7 +22,7 @@ from knnmt.refmodel import (
     train,
 )
 from knnmt.refmodel import _pair_grads
-from helpers import random_corpus
+from helpers import CopyModel, random_corpus
 
 VOCAB = 14
 
@@ -74,6 +74,72 @@ class TestStep:
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
             fresh_model().encode(Sentence(()))
+
+
+def batch_inputs(model, rng, rows):
+    contexts = [
+        model.encode(Sentence(tuple(int(x) for x in rng.integers(4, VOCAB, size=rng.integers(1, 6)))))
+        for _ in range(rows)
+    ]
+    states = [rng.uniform(-1.0, 1.0, size=model.hidden_dim()) for _ in range(rows)]
+    tokens = [int(x) for x in rng.integers(0, VOCAB, size=rows)]
+    return contexts, states, tokens
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), adapter=st.booleans())
+def test_step_batch_rows_equal_one_step_per_row(seed, rows, adapter):
+    """step_batch's one forward over B rows gives each row the bytes of
+    one step() call on it: hidden state, distribution and new state."""
+    rng = np.random.default_rng(seed)
+    model = fresh_model(seed=seed)
+    if adapter:
+        model.add_adapter("dom", seed=seed)
+        model.adapters["dom"].W_up += rng.uniform(-0.2, 0.2, size=model.adapters["dom"].W_up.shape)
+        model.set_active_adapter("dom")
+    contexts, states, tokens = batch_inputs(model, rng, rows)
+    hidden, dists, new_states = model.step_batch(contexts, states, tokens)
+    assert hidden.shape == (rows, model.hidden_dim()) and dists.shape == (rows, VOCAB)
+    assert len(new_states) == rows
+    for i in range(rows):
+        h, dist, state = model.step(contexts[i], states[i], tokens[i])
+        assert hidden[i].tobytes() == h.tobytes()
+        assert dists[i].tobytes() == dist.tobytes()
+        assert np.asarray(new_states[i]).tobytes() == state.tobytes()
+
+
+class TestStepBatch:
+    @pytest.mark.parametrize(
+        "arg, bad",
+        [
+            ("contexts", lambda x: [c[:-1] for c in x]),
+            ("contexts", lambda x: x[:-1]),
+            ("states", lambda x: [np.append(s, 0.0) for s in x]),
+            ("states", lambda x: x[:-1]),
+            ("tokens", lambda x: x[:-1] + [VOCAB]),
+            ("tokens", lambda x: x[:-1] + [-1]),
+            ("tokens", lambda x: x[:-1]),
+            ("tokens", lambda x: [float(t) for t in x]),
+        ],
+    )
+    def test_bad_input_rejected_as_step_rejects_it(self, arg, bad):
+        model = fresh_model()
+        inputs = dict(zip(("contexts", "states", "tokens"), batch_inputs(model, np.random.default_rng(0), 3)))
+        inputs[arg] = bad(inputs[arg])
+        with pytest.raises(ValueError):
+            model.step_batch(inputs["contexts"], inputs["states"], inputs["tokens"])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError):
+            fresh_model().step_batch([], [], [])
+
+    def test_base_class_stacks_step_calls(self):
+        model = CopyModel(VOCAB, dim=3)
+        contexts = [model.encode(Sentence((4, 5))), model.encode(Sentence((6,)))]
+        hidden, dists, states = model.step_batch(contexts, [1, 1], [BOS_ID, BOS_ID])
+        assert hidden.shape == (2, 3) and dists.shape == (2, VOCAB)
+        assert dists[:, 5].tolist() == [1.0, 0.0] and dists[:, EOS_ID].tolist() == [0.0, 1.0]
+        assert states == [2, 2]
 
 
 class TestGradients:
