@@ -191,12 +191,9 @@ def _select(
     return rows[picked], d2[picked]
 
 
-# Margin covering float32 rounding between the expansion-based ranking
-# estimates and the difference-based distances they stand in for, as a
-# multiple of (max key norm + query norm)^2. The rounding analysis gives
-# ~1.6e-5 at 64 dims; the slack is several times that, and admitting too
-# many candidates only costs time.
-_EXPANSION_SLACK = 1e-4
+def _gamma(k: int) -> float:
+    """Higham's bound gamma_k on the relative error of k float32 roundings."""
+    return k * 2.0**-24 / (1 - k * 2.0**-24)
 
 # Key rows copied or compared at once while grouping, and (query, group)
 # pairs scored at once, so that no full-size temporary of the keys is made.
@@ -215,9 +212,10 @@ class _KeyGroups:
     """Exact search's cache for one keys array: the rows grouped by key
     bytes, in the byte order of the keys, group g holding
     members[bounds[g]:bounds[g + 1]] in ascending row order, first[g] the
-    first of them; -2 U^T and |U|^2 of the distinct keys U; and `eligible`,
-    the groups' eligible rows for the latest excluded talk. Row indices and
-    counts are int32 unless the store has 2**31 rows or more."""
+    first of them; -2 U^T and |U|^2 of the distinct keys U, and max_norm,
+    a bound on their norms; and `eligible`, the groups' eligible rows for
+    the latest excluded talk. Row indices and counts are int32 unless the
+    store has 2**31 rows or more."""
 
     keys: np.ndarray
     members: np.ndarray
@@ -255,7 +253,8 @@ def _key_groups(ds: Datastore) -> _KeyGroups:
             u = ds.keys[first[lo : lo + _CACHE_ROWS]]
             sq[lo : lo + len(u)] = np.einsum("ij,ij->i", u, u)
             np.multiply(u.T, -2.0, out=neg2_ut[:, lo : lo + len(u)])  # exact
-        max_norm = float(np.sqrt(sq.max()))
+        # |U|^2 <= (sq + n 2^-149) / (1 - gamma_n), n products that may underflow
+        max_norm = ((float(sq.max()) + ds.dim * 2.0**-149) / (1 - _gamma(ds.dim))) ** 0.5
         grp = ds._groups = _KeyGroups(ds.keys, members, bounds, first, neg2_ut, sq, max_norm)
     return grp
 
@@ -300,24 +299,14 @@ def _pick(
     eligible rows of its margin set, given as (query qi, group gi) pairs,
     qi ascending, that hold at least `take` eligible rows for each query.
     A group's distance is taken once, from its key, _CACHE_ROWS pairs at a
-    time."""
+    time, and it offers at most take rows to the one final sort."""
     counts, starts, members, _ = groups
     d2 = np.empty(len(qi), dtype=np.result_type(ds.keys, Q))
     for lo in range(0, len(qi), _CACHE_ROWS):
         diff = ds.keys[grp.first[gi[lo : lo + _CACHE_ROWS]]] - Q[qi[lo : lo + _CACHE_ROWS]]
         d2[lo : lo + _CACHE_ROWS] = np.einsum("ij,ij->i", diff, diff)
-    # by query, then distance: keep each query's groups up to the one at
-    # which its rows reach take, ties too; a group offers at most take rows
-    order = np.lexsort((d2, qi))
-    qi, gi, d2 = qi[order], gi[order], d2[order]
-    cnt = counts[gi].astype(np.intp)
-    np.minimum(cnt, take, out=cnt)
-    reach = np.cumsum(cnt)
-    first = np.searchsorted(qi, np.arange(len(Q)))
-    cut = np.searchsorted(reach, reach[first] - cnt[first] + take)
-    keep = np.flatnonzero(d2 <= d2[cut][qi])
-    qi, gi, d2, cnt = qi[keep], gi[keep], d2[keep], cnt[keep]
-    # expand each kept group to its first cnt eligible rows, in row order
+    # each group offers its first min(count, take) eligible rows, in row order
+    cnt = np.minimum(counts[gi], take, dtype=np.intp)
     ends = np.cumsum(cnt)
     owner = np.repeat(np.arange(len(gi)), cnt)
     rows = members[np.arange(ends[-1]) + (starts[gi] - ends + cnt)[owner]]
@@ -366,15 +355,26 @@ def query_exact_batch_rows(
     query_exact and equal bit for bit to a full scan of the rows.
 
     It searches the distinct keys U. One matrix product gives each group
-    of byte-equal rows an estimate |U|^2 - 2 U.q, +inf if no row of the
-    group is eligible. It omits the per-query |q|^2 and lies within
-    m = _EXPANSION_SLACK * (max key norm + |q|)^2 of the distance it ranks.
-    One partition finds each query's min(take, G) smallest estimates, and
-    sorted they reach take eligible rows at some estimate tau: each group
-    with a finite estimate holds an eligible row, and if fewer than take do,
-    they hold them all. A group whose estimate exceeds tau + m lies farther
-    than each of those take rows, so one compare picks the margin set, every
-    group within tau + m, ties kept, and scoring it finds the result.
+    of byte-equal rows an estimate est of E = |U|^2 - 2 U.q, +inf if no
+    row of the group is eligible. One partition finds each query's
+    min(take, G) smallest estimates, and sorted they reach take eligible
+    rows at some estimate tau: each group with a finite estimate holds an
+    eligible row, and if fewer than take do, they hold them all. One
+    compare over the flat (B, G) estimates keeps the margin set, every
+    group with est <= tau + m_q (so each that reached tau), and scoring it
+    finds the result.
+
+    The margin is sound. With n = dim, gamma_k = k 2^-24 / (1 - k 2^-24),
+    M >= every |U| and d = |U - q|^2 = E + |q|^2, float32 sums in any order
+    (so any BLAS blocking), each underflowing product losing <= 2^-150:
+    (a) |est - E| <= e_q - 2n 2^-149, e_q = gamma_{n+1} (M^2 + 2|q| M) + n 2^-147;
+    (b) a scored distance d^ has |d^ - d| <= g d + n 2^-149, g = gamma_{n+2}.
+    So a group that reached tau has d <= D - 2n 2^-149, D = tau + e_q + |q|^2,
+    and d^ <= (1 + g) D - n 2^-149; one with est > tau + m_q, m_q =
+    2 e_q + 2 g D / (1 - g), has d > D + 2 g D / (1 - g) and d^ > (1 + g) D
+    - n 2^-149, farther than take eligible rows. m_q is taken in float64,
+    D floored at 0, and raised by 1%, far above that rounding ((n + 3) 2^-53
+    of |tau| + |q|^2 + e_q <= 5 d + 6 e_q / g); its float32 bound rounds up.
 
     A scored group's distance comes from its key's float32 differences,
     summed as a full scan sums them; its rows share the key's bytes and so
@@ -384,7 +384,7 @@ def query_exact_batch_rows(
     Queries are ranked in blocks of _SEARCH_ELEMS // G, and each margin set
     is scored as (query, group) pairs, _CACHE_ROWS at a time, so memory
     stays bounded at any batch size. The block may change an estimate's
-    bits but not past the margin, which covers any summation order, and a
+    bits but not past e_q, which covers any summation order, and a
     scored distance never depends on the batch: a query gets the same rows
     and distances in any batch."""
     Q = _check_queries(ds, queries, k)
@@ -413,9 +413,14 @@ def _search_block(
     near = near[each, est[each, near].argsort(axis=1)]
     cut = (counts[near].cumsum(axis=1, dtype=np.intp) >= take).argmax(axis=1)
     tau = est[each[:, 0], near[each[:, 0], cut]]
-    norms = np.sqrt(np.einsum("ij,ij->i", Q, Q), dtype=np.float64)
-    bound = tau + _EXPANSION_SLACK * (grp.max_norm + norms) ** 2
-    return _pick(ds, grp, Q, groups, *np.nonzero(est <= bound[:, None]), take)
+    qq = np.vecdot(Q, Q, dtype=np.float64)
+    n, M = ds.dim, grp.max_norm
+    e_q = np.sqrt(qq) * (2 * _gamma(n + 1) * M) + (_gamma(n + 1) * M * M + n * 2.0**-147)
+    c = 2 * _gamma(n + 2) / (1 - _gamma(n + 2))
+    margin = 1.01 * (2 * e_q + c * np.maximum(tau + e_q + qq, 0))  # m_q, raised
+    bound = np.nextafter(tau + margin, np.inf, dtype=np.float32)
+    qi, gi = np.divmod(np.flatnonzero(est <= bound[:, None]), est.shape[1])
+    return _pick(ds, grp, Q, groups, qi, gi, take)
 
 
 # Rows that k-means widens to float64 and scores against the centroids at
@@ -568,7 +573,8 @@ def query_ivf_rows(
         scan = np.sort(np.concatenate([idx.lists[c] for c in nearest]))
         if excluded is not None:
             scan = scan[~excluded[scan]]
-        diff = ds.keys[scan] - q
+        diff = ds.keys[scan]
+        diff -= q
         got_rows, got_d2 = _select(np.einsum("ij,ij->i", diff, diff), scan, take)
         rows[b, : len(got_rows)] = got_rows
         dists[b, : len(got_d2)] = got_d2

@@ -378,23 +378,40 @@ class TestKeyGroups:
         assert peak < 1.7 * ds.keys.nbytes
 
 
+def record_margin_widths(monkeypatch):
+    """The list that each later exact search appends its queries' margin
+    set sizes to."""
+    widths = []
+    pick = knnmt.datastore._pick
+
+    def counting_pick(ds, grp, Q, groups, qi, gi, take):
+        widths.extend(np.bincount(qi, minlength=len(Q)).tolist())
+        return pick(ds, grp, Q, groups, qi, gi, take)
+
+    monkeypatch.setattr(knnmt.datastore, "_pick", counting_pick)
+    return widths
+
+
 class TestSearchBatch:
     def test_wide_margin_memory_does_not_grow_with_the_batch(self, monkeypatch):
-        # distinct keys on a sphere, a hair apart in radius: a query at the
-        # origin holds about half the groups in its margin set. Ranked in
-        # blocks of 4 queries and scored ragged, 64 queries take no more
-        # transient memory than 4 (padded to the widest set, they took 15x)
+        # distinct keys exactly on the radius-10 sphere (four entries of
+        # +-5), so a query at the origin ties with every group and any sound
+        # margin holds them all. Ranked in blocks of 4 queries and scored
+        # ragged, 64 queries take no more transient memory than 4 (padded to
+        # the widest set, they took 15x)
         rng = np.random.default_rng(60)
         n, dim = 4_000, 16
-        dirs = rng.normal(size=(n, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        keys = np.zeros((3 * n, dim), dtype=np.float32)
+        at = np.argsort(rng.random((3 * n, dim)), axis=1)[:, :4]
+        np.put_along_axis(keys, at, rng.choice(np.float32([-5, 5]), size=(3 * n, 4)), axis=1)
         ds = Datastore(
             dim=dim,
-            keys=(dirs * (10 + rng.uniform(0, 1e-3, size=(n, 1)))).astype(np.float32),
+            keys=rng.permutation(np.unique(keys, axis=0))[:n],
             values=np.zeros(n, dtype=np.uint32),
             talk_ids=np.zeros(n, dtype=np.uint32),
         )
         monkeypatch.setattr(knnmt.datastore, "_SEARCH_ELEMS", 4 * n)
+        widths = record_margin_widths(monkeypatch)
         ds.search_batch_rows(np.zeros((1, dim), np.float32), 8)  # the caches
 
         def peak(batch):
@@ -407,6 +424,27 @@ class TestSearchBatch:
                 tracemalloc.stop()
 
         assert peak(64) < 1.2 * peak(4)
+        assert len(ds._groups.first) == n and min(widths) >= n / 2
+
+    def test_origin_margin_set_on_a_thin_shell_stays_narrow(self, monkeypatch):
+        # distinct keys on a sphere, radii 10 to 10.001: the squared norms
+        # span 0.02, and a margin derived from the rounding of each query
+        # (about 4e-4 at the origin) holds a few percent of the groups; a
+        # fixed 1e-4 (max norm + |q|)^2 held about half
+        rng = np.random.default_rng(60)
+        n, dim = 4_000, 16
+        dirs = rng.normal(size=(n, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ds = Datastore(
+            dim=dim,
+            keys=(dirs * (10 + rng.uniform(0, 1e-3, size=(n, 1)))).astype(np.float32),
+            values=np.zeros(n, dtype=np.uint32),
+            talk_ids=np.zeros(n, dtype=np.uint32),
+        )
+        widths = record_margin_widths(monkeypatch)
+        Q = np.zeros((1, dim), np.float32)
+        assert_scan_equal(ds, Q, 8)
+        assert 8 <= widths[0] <= 0.05 * n
 
     def test_rows_match_single_queries_bitwise(self):
         ds = random_store(seed=25, dup_rows=3)

@@ -1,11 +1,13 @@
 """Property tests of the one retrieval shape: every search answers in
 (rows, distances), and one function turns those into p_knn; of exact
-search over groups of duplicate keys; and of the chunked k-means behind
-the IVF index."""
+search over groups of duplicate keys, of the rounding bounds its margin
+rests on, and of near ties that only those bounds keep; and of the
+chunked k-means behind the IVF index."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +170,103 @@ def test_stacked_batch_equals_per_row_calls(case, n_queries, seed, sizes):
         assert dists[b].tobytes() == one_dists[0].tobytes()
         want_rows, want_d2 = scan(ds, Q[b], k, exclude)
         assert rows[b].tolist() == want_rows.tolist()
+
+
+def rounding_cases(dim, seed):
+    """Float32 keys of norm 1e-2 to 1e3 in random directions, and queries
+    that are random, copies of a key, near-parallel to one (a scaled copy
+    nudged by 1e-6 relative) or anti-parallel to one."""
+    rng = np.random.default_rng(seed)
+
+    def vectors(n):
+        v = rng.normal(size=(n, dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return v * 10.0 ** rng.uniform(-2, 3, size=(n, 1))
+
+    keys = vectors(300).astype(np.float32)
+    of = keys[rng.integers(0, len(keys), size=(4, 10))].astype(np.float64)
+    scale = 10.0 ** rng.uniform(-1, 1, size=(10, 1))
+    nudge = 1 + 1e-6 * rng.normal(size=(10, dim))
+    queries = np.concatenate((vectors(10), of[0], of[1] * scale * nudge, of[2] * nudge, -of[3] * scale))
+    return keys, queries.astype(np.float32)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16, 64, 128])
+def test_estimates_and_distances_round_within_the_stated_bounds(dim):
+    # exact search keeps a group unless its estimate lies past tau plus a
+    # margin built from two bounds: (a) an estimate |U|^2 - 2 U.q errs by at
+    # most e_q = gamma_{n+1} (M^2 + 2 |q| M), in any summation order, so in
+    # a one-row product (gemv) as in a block (gemm); (b) a scored distance
+    # errs by at most gamma_{n+2} of itself. The float64 references err by
+    # about 1e-8 of either bound.
+    gamma = knnmt.datastore._gamma
+    for seed in range(3):
+        keys, Q = rounding_cases(dim, seed)
+        ds = Datastore(dim=dim, keys=keys, values=np.zeros(len(keys), np.uint32),
+                       talk_ids=np.zeros(len(keys), np.uint32))
+        grp = knnmt.datastore._key_groups(ds)
+        U, Q64 = keys[grp.first].astype(np.float64), Q.astype(np.float64)
+        M = grp.max_norm
+        assert M >= np.sqrt((U**2).sum(axis=1)).max()
+        want = (U**2).sum(axis=1) - 2 * Q64 @ U.T
+        err = gamma(dim + 1) * M * (M + 2 * np.linalg.norm(Q64, axis=1, keepdims=True))
+        est = Q @ grp.neg2_ut
+        est += grp.sq
+        rows = np.concatenate([Q[b : b + 1] @ grp.neg2_ut + grp.sq for b in range(len(Q))])
+        for got in (est, rows):
+            assert (np.abs(got - want) <= err).all()
+        qi, gi = np.divmod(np.arange(len(Q) * len(U)), len(U))
+        diff = keys[grp.first[gi]] - Q[qi]
+        got = np.einsum("ij,ij->i", diff, diff)
+        d = ((U[gi] - Q64[qi]) ** 2).sum(axis=1)
+        assert (np.abs(got - d) <= gamma(dim + 2) * d).all()
+
+
+@st.composite
+def near_tie_stores(draw):
+    """Distinct keys of norm up to about 5e3 at dim 64 whose real distances
+    to the query differ by at most 4 ulps of the float32 distance: each is
+    the query q plus a signed permutation of one offset w, which keeps
+    |w|^2, with one of w's near-zero entries nudged by up to 3/16. Every
+    entry is a multiple of 1/16 below 2^11, so q + w and its difference
+    from q are exact and the squares of the differences are too; the
+    distances differ by their summation order and the nudges, while the
+    estimates err by hundreds."""
+    dim = 64
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.integers(-(2**14), 2**14, size=dim) / 16
+    w = rng.integers(-(2**11), 2**11, size=dim) / 16
+    w[:8] = rng.integers(-1, 2, size=8) / 16
+    n_keys = draw(st.integers(2, 40))
+    offsets = np.empty((n_keys, dim))
+    for i in range(n_keys):
+        v = w[rng.permutation(dim)] * rng.choice([-1, 1], size=dim)
+        small = np.flatnonzero(np.abs(v) <= 1 / 16)
+        v[rng.choice(small)] += rng.integers(-3, 4) / 16
+        offsets[i] = v
+    offsets = np.unique(offsets, axis=0)
+    rng.shuffle(offsets)
+    n = len(offsets)
+    ds = Datastore(
+        dim=dim,
+        keys=(q + offsets).astype(np.float32),
+        values=np.zeros(n, dtype=np.uint32),
+        talk_ids=rng.integers(0, 3, size=n).astype(np.uint32),
+    )
+    exclude = draw(st.one_of(st.none(), st.integers(0, 2)))
+    k = draw(st.integers(1, n + 3))
+    return ds, q.astype(np.float32), (offsets**2).sum(axis=1), k, exclude
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_tie_stores())
+def test_near_ties_at_large_norm_equal_brute_force_scan(case):
+    ds, q, d, k, exclude = case
+    assert d.max() - d.min() <= 4 * np.spacing(np.float32(d.min()))
+    rows, dists = ds.search_batch_rows(q[None, :], k, exclude)
+    want_rows, want_d2 = scan(ds, q, k, exclude)
+    assert rows[0].tolist() == want_rows.tolist()
+    assert dists[0].tobytes() == want_d2.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
