@@ -46,14 +46,14 @@ TERMS = (
 )
 
 
-def benchmark_vocab(max_size: int = 200) -> Vocab:
+def benchmark_vocab() -> Vocab:
     """Vocabulary over the entire lexicon, both sides, independent of what
     any particular sample happens to draw."""
     tokens = [
         [src for src, _ in cat] + [tgt for _, tgt in cat]
         for cat in (DETS, NOUNS, VERBS, ADVS, TERMS)
     ]
-    return build_vocab(tokens, max_size=max_size)
+    return build_vocab(tokens, max_size=200)
 
 
 def _draw(rng: np.random.Generator, cat: tuple[tuple[str, str], ...]):
@@ -71,12 +71,8 @@ def _encode_pair(
     )
 
 
-def make_general_corpus(
-    n: int, seed: int, vocab: Vocab | None = None
-) -> ParallelCorpus:
+def make_general_corpus(n: int, seed: int, vocab: Vocab) -> ParallelCorpus:
     """n sentences drawing the noun slot from general nouns only."""
-    if vocab is None:
-        vocab = benchmark_vocab()
     rng = np.random.default_rng(seed)
     pairs = [
         _encode_pair(
@@ -102,32 +98,19 @@ def term_frame(term_index: int) -> list[tuple[str, str]]:
     ]
 
 
-def make_talks(
-    n_talks: int,
-    term_repeats: int = 2,
-    general_sentences: int = 4,
-    seed: int = 14,
-    vocab: Vocab | None = None,
-    first_talk_id: int = 1,
-) -> ParallelCorpus:
-    """Pseudo-talks sharing one terminology lexicon. Per talk: a few
-    general-noun sentences plus `term_repeats` occurrences of every term's
+def make_talks(n_talks: int, seed: int, vocab: Vocab) -> ParallelCorpus:
+    """Pseudo-talks sharing one terminology lexicon, numbered from 1. Per
+    talk: four general-noun sentences plus two occurrences of every term's
     collocational frame, in seeded shuffled order. Every talk covers every
     term, so any one talk's terminology is recoverable from the others."""
-    if term_repeats < 1:
-        raise ValueError("term_repeats must be >= 1")
-    if vocab is None:
-        vocab = benchmark_vocab()
     rng = np.random.default_rng(seed)
     pairs = []
-    for talk in range(first_talk_id, first_talk_id + n_talks):
+    for talk in range(1, n_talks + 1):
         words_list = [
             [_draw(rng, DETS), _draw(rng, NOUNS), _draw(rng, VERBS), _draw(rng, ADVS)]
-            for _ in range(general_sentences)
+            for _ in range(4)
         ]
-        words_list += [
-            term_frame(i) for _ in range(term_repeats) for i in range(len(TERMS))
-        ]
+        words_list += [term_frame(i) for _ in range(2) for i in range(len(TERMS))]
         for j in rng.permutation(len(words_list)):
             pairs.append(
                 _encode_pair(vocab, words_list[j], domain="talk", talk_id=talk)
@@ -144,20 +127,13 @@ class DomainShiftBenchmark:
     term_target_ids: tuple[int, ...]
 
 
-def make_domain_shift_benchmark(
-    n_general: int = 300,
-    n_talks: int = 5,
-    term_repeats: int = 2,
-    general_sentences: int = 4,
-    seed: int = 13,
-) -> DomainShiftBenchmark:
-    """General training corpus plus pseudo-talks over a terminology lexicon
-    that is absent from the general corpus. Fully determined by the seed."""
+def make_domain_shift_benchmark() -> DomainShiftBenchmark:
+    """300 general training sentences plus five pseudo-talks over a
+    terminology lexicon that is absent from the general corpus, from the
+    fixed seeds 13 and 14."""
     vocab = benchmark_vocab()
-    general = make_general_corpus(n_general, seed=seed, vocab=vocab)
-    talks = make_talks(
-        n_talks, term_repeats, general_sentences, seed=seed + 1, vocab=vocab
-    )
+    general = make_general_corpus(300, seed=13, vocab=vocab)
+    talks = make_talks(5, seed=14, vocab=vocab)
     return DomainShiftBenchmark(
         vocab=vocab,
         general=general,
@@ -204,12 +180,10 @@ def shift_noun_targets(
     return _shift_targets(corpus, vocab, NOUNS, limit)
 
 
-def shift_term_targets(
-    corpus: ParallelCorpus, vocab: Vocab, limit: int | None = None
-) -> ParallelCorpus:
-    """Same cyclic corruption over the terminology lexicon instead of the
-    general nouns."""
-    return _shift_targets(corpus, vocab, TERMS, limit)
+def shift_term_targets(corpus: ParallelCorpus, vocab: Vocab) -> ParallelCorpus:
+    """Same cyclic corruption over the whole terminology lexicon instead of
+    the general nouns."""
+    return _shift_targets(corpus, vocab, TERMS, None)
 
 
 def terminology_recall(

@@ -189,6 +189,8 @@ def _load_lm(ns, vocab: Vocab):
     if not getattr(ns, "lm", None):
         if getattr(ns, "lm_domain", None):
             raise _UsageError("--lm-domain requires --lm")
+        if ns.fusion_alpha:  # with no LM to fuse it would change nothing
+            raise _UsageError("--fusion-alpha requires --lm")
         return None
     general = load_ngram_counts(ns.lm, vocab)
     if ns.lm_domain:

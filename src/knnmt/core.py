@@ -215,7 +215,7 @@ def read_tsv(path: str | Path) -> list[tuple[str, str, str, int]]:
     return rows
 
 
-def load_corpus(path: str | Path, vocab: Vocab, lang: str = "xx") -> ParallelCorpus:
+def load_corpus(path: str | Path, vocab: Vocab) -> ParallelCorpus:
     """Read a TSV corpus and encode both sides with `vocab`."""
     pairs = []
     for lineno, (src, tgt, domain, talk_id) in enumerate(read_tsv(path), start=1):
@@ -224,7 +224,7 @@ def load_corpus(path: str | Path, vocab: Vocab, lang: str = "xx") -> ParallelCor
         if len(source) == 0 or len(target) == 0:
             raise CorpusError(f"{path}: line {lineno}: empty side after tokenization")
         pairs.append(SentencePair(source, target, domain, talk_id))
-    return ParallelCorpus(tuple(pairs), lang=lang)
+    return ParallelCorpus(tuple(pairs))
 
 
 def write_corpus(path: str | Path, corpus: ParallelCorpus, vocab: Vocab) -> None:

@@ -521,7 +521,11 @@ def train_ivf(
 
 def check_index(ds: Datastore) -> IvfIndex:
     """The store's IVF index, refused unless its lists partition exactly
-    the store's rows and its centroids have the store's dim."""
+    the store's rows, its centroids have the store's dim, and each
+    non-empty list's centroid holds the bytes of the float32 mean
+    train_ivf takes of the list's keys (bytes, so NaN keys match too).
+    That binds an index to its store's keys; the verdict is kept while the
+    store holds the same keys array and index."""
     idx = ds.index
     if idx is None:
         raise ValueError("datastore has no IVF index; call train_ivf first")
@@ -530,6 +534,15 @@ def check_index(ds: Datastore) -> IvfIndex:
             f"IVF index over {idx.n_rows} rows of dim {idx.centroids.shape[1]} "
             f"does not match a datastore of {len(ds)} rows of dim {ds.dim}"
         )
+    bound = ds.__dict__.get("_bound")
+    if bound is None or bound[0] is not ds.keys or bound[1] is not idx:
+        for c, rows in enumerate(idx.lists):
+            if len(rows) and _mean_rows(ds.keys, rows).astype(np.float32).tobytes() != idx.centroids[c].tobytes():
+                raise ValueError(
+                    f"IVF index does not belong to this datastore: cluster {c}'s "
+                    f"centroid is not the mean of its {len(rows)} keys"
+                )
+        ds._bound = (ds.keys, idx)
     return idx
 
 

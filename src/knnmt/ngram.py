@@ -13,10 +13,15 @@ from .core import BOS_ID, UNK_ID, ParallelCorpus, Sentence, Vocab, read_text
 
 Gram = tuple[int, ...]
 
+# Weight of the uniform distribution in every model. A constant, since a
+# counts file records no floor: a loaded model must mix as it was trained.
+FLOOR = 0.01
+
 
 @dataclass
 class NgramLm:
-    """Jelinek-Mercer interpolated n-gram model with a uniform floor.
+    """Jelinek-Mercer interpolated n-gram model with a uniform floor of
+    weight FLOOR.
 
     `counts` holds raw n-gram counts for tuple lengths 1..order. Context
     denominators are derived from them, so the distribution over the
@@ -28,7 +33,6 @@ class NgramLm:
     vocab_size: int
     counts: dict[Gram, int]
     weights: tuple[float, ...]
-    floor: float = 0.01
     _ctx: dict[Gram, int] = field(init=False, repr=False)
     _cont: dict[Gram, list[tuple[int, int]]] = field(init=False, repr=False)
 
@@ -39,8 +43,6 @@ class NgramLm:
             raise ValueError("need one interpolation weight per order")
         if any(w < 0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("interpolation weights must be non-negative and sum to 1")
-        if not 0.0 < self.floor < 1.0:
-            raise ValueError("floor weight must be in (0, 1)")
         ctx: dict[Gram, int] = {}
         cont: dict[Gram, list[tuple[int, int]]] = {}
         for gram, count in self.counts.items():
@@ -61,7 +63,7 @@ class NgramLm:
         """p(token | history), mixing maximum-likelihood estimates of each
         order with a uniform floor. Strictly positive."""
         hist = self._history(history)
-        p = self.floor / self.vocab_size
+        p = FLOOR / self.vocab_size
         for j, weight in enumerate(self.weights, start=1):
             ctx = hist[len(hist) - (j - 1) :]
             denom = self._ctx.get(ctx, 0)
@@ -69,17 +71,17 @@ class NgramLm:
                 ml = 1.0 / self.vocab_size
             else:
                 ml = self.counts.get(ctx + (token,), 0) / denom
-            p += (1.0 - self.floor) * weight * ml
+            p += (1.0 - FLOOR) * weight * ml
         return p
 
     def distribution(self, history: Sequence[int]) -> np.ndarray:
         """Probability vector over the vocabulary for the given history."""
         hist = self._history(history)
-        dist = np.full(self.vocab_size, self.floor / self.vocab_size)
+        dist = np.full(self.vocab_size, FLOOR / self.vocab_size)
         for j, weight in enumerate(self.weights, start=1):
             ctx = hist[len(hist) - (j - 1) :]
             denom = self._ctx.get(ctx, 0)
-            scale = (1.0 - self.floor) * weight
+            scale = (1.0 - FLOOR) * weight
             if denom == 0:
                 dist += scale / self.vocab_size
             else:
@@ -93,7 +95,6 @@ def lm_train(
     order: int,
     vocab_size: int,
     weights: Sequence[float] | None = None,
-    floor: float = 0.01,
 ) -> NgramLm:
     """Count BOS-padded n-grams of every order up to `order` over the corpus.
 
@@ -113,7 +114,7 @@ def lm_train(
                 counts[gram] = counts.get(gram, 0) + 1
     if weights is None:
         weights = (1.0 / order,) * order
-    return NgramLm(order, vocab_size, counts, tuple(weights), floor)
+    return NgramLm(order, vocab_size, counts, tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,8 @@ def select_data(
 ) -> ParallelCorpus:
     """Top-k pool pairs by n-gram overlap of the source side with the seed,
     descending; ties keep original pool order."""
-    if top_k > len(pool):
-        raise ValueError(f"top_k {top_k} exceeds pool size {len(pool)}")
+    if not 0 <= top_k <= len(pool):
+        raise ValueError(f"top_k must be in [0, {len(pool)}], the pool size; got {top_k}")
     seed_sets = build_seed_ngrams(seed, max_order)
     scored = sorted(
         range(len(pool.pairs)),
@@ -206,13 +207,9 @@ def save_ngram_counts(lm: NgramLm, vocab: Vocab, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_ngram_counts(
-    path: str | Path,
-    vocab: Vocab,
-    weights: Sequence[float] | None = None,
-    floor: float = 0.01,
-) -> NgramLm:
-    """Load a counts listing written by save_ngram_counts. A malformed
+def load_ngram_counts(path: str | Path, vocab: Vocab) -> NgramLm:
+    """Load a counts listing written by save_ngram_counts, with uniform
+    per-order weights, since the listing records none. A malformed
     line (not two tab-separated fields, a count that is not an integer
     >= 1, an order outside [1, 5]), a token not in the vocabulary (a
     literal <unk> is in it) or a gram listed twice is an error naming the
@@ -243,9 +240,7 @@ def load_ngram_counts(
         if gram in counts:
             raise ValueError(f"{path}: line {n}: gram {toks!r} is listed twice")
         counts[gram] = count
-    if weights is None:
-        weights = (1.0 / order,) * order
-    return NgramLm(order, len(vocab), counts, tuple(weights), floor)
+    return NgramLm(order, len(vocab), counts, (1.0 / order,) * order)
 
 
 def _line_int(path: str | Path, lineno: int, what: str, text: str) -> int:

@@ -107,6 +107,8 @@ def init_params(
 ) -> RefModelParams:
     """Uniform [-0.1, 0.1] init from a PCG64 stream; array creation order is
     fixed (E, W_c, W_y, W_h, b, U, b_o) so a seed pins every weight."""
+    if embed_dim < 1 or hidden_dim < 1:
+        raise ValueError(f"embed_dim and hidden_dim must be >= 1, got {embed_dim} and {hidden_dim}")
     rng = np.random.default_rng(seed)
 
     def u(*shape: int) -> np.ndarray:

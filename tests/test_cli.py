@@ -123,6 +123,54 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_fusion_alpha_without_lm_is_usage_error(self, work, capsys):
+        # with no LM the weight would decode exactly as a plain run
+        model, vocab = train_small(work)
+        capsys.readouterr()
+        code = main(
+            [
+                "decode",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "h.jsonl"),
+                "--fusion-alpha", "0.7",
+            ]
+        )
+        assert code == 1
+        assert "--fusion-alpha requires --lm" in capsys.readouterr().err
+        assert not (work / "h.jsonl").exists()
+
+    def test_zero_model_dims_are_data_errors(self, work, capsys):
+        for flag in ("--embed-dim", "--hidden-dim"):
+            code = main(
+                [
+                    "train",
+                    "--corpus", str(work / "train.tsv"),
+                    "--out", str(work / "m.rmdl"),
+                    "--epochs", "1",
+                    flag, "0",
+                ]
+            )
+            assert code == 2
+            assert "must be >= 1" in capsys.readouterr().err
+            assert not (work / "m.rmdl").exists()
+
+    def test_negative_top_k_is_data_error(self, work, capsys):
+        (work / "seed.tsv").write_text("w1 w2\tw3\n")
+        code = main(
+            [
+                "select-data",
+                "--pool", str(work / "train.tsv"),
+                "--seed-corpus", str(work / "seed.tsv"),
+                "--top-k", "-1",
+                "--out", str(work / "sel.tsv"),
+            ]
+        )
+        assert code == 2
+        assert "got -1" in capsys.readouterr().err
+        assert not (work / "sel.tsv").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_vocab(self, work, capsys):
@@ -349,6 +397,42 @@ class TestDecode:
         (work / "hyps.jsonl").write_text("an earlier run\n")
         assert main(decode) == 2
         assert (work / "hyps.jsonl").read_text() == "an earlier run\n"
+
+    def test_ivf_index_of_a_same_size_store_is_data_error(self, work, capsys):
+        # the row counts agree, so only the centroids tell the stores apart
+        model, vocab = train_small(work)
+        code = main(
+            [
+                "build-datastore",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "talks.knnd"),
+                "--ivf-clusters", "4",
+                "--ivf-out", str(work / "talks.knni"),
+            ]
+        )
+        assert code == 0
+        store = load_datastore(work / "talks.knnd")
+        store.keys = store.keys[::-1].copy()
+        save_datastore(store, work / "reversed.knnd")
+        capsys.readouterr()
+        files = sorted(work.iterdir())
+        code = main(
+            [
+                "decode",
+                "--model", str(model),
+                "--vocab", str(vocab),
+                "--corpus", str(work / "talks.tsv"),
+                "--out", str(work / "hyps.jsonl"),
+                "--datastore", str(work / "reversed.knnd"),
+                "--ivf-index", str(work / "talks.knni"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "does not belong to this datastore: cluster" in err and "Traceback" not in err
+        assert sorted(work.iterdir()) == files
 
     def test_datastore_value_outside_vocabulary_is_data_error(self, work, capsys):
         model, vocab = train_small(work)

@@ -608,6 +608,34 @@ class TestIvf:
         with pytest.raises(ValueError, match="200 rows"):
             query_ivf(ds, ds.keys[3], 3)
 
+    def test_index_of_a_same_size_store_rejected(self):
+        ds = random_store(seed=39)
+        ds.index = train_ivf(ds, n_clusters=4, seed=0, nprobe=4)
+        other = random_store(seed=39)
+        other.keys = ds.keys[::-1].copy()
+        other.index = ds.index
+        with pytest.raises(ValueError, match="cluster 0's centroid"):
+            query_ivf(other, other.keys[0], 3)
+        with pytest.raises(ValueError, match="does not belong"):
+            other.search_batch_rows(other.keys[:1], 3)
+
+    def test_binding_compares_bytes_and_keeps_its_verdict(self, monkeypatch):
+        keys = np.random.default_rng(40).normal(size=(60, 4)).astype(np.float32)
+        keys[7] = np.nan  # a NaN centroid is never == itself, but its bytes are
+        ds = Datastore(4, keys, np.zeros(60, dtype=np.uint32), np.zeros(60, dtype=np.uint32))
+        ds.index = train_ivf(ds, n_clusters=3, seed=0)
+        assert len(ds.index.lists[0]) and np.isnan(ds.index.centroids[0]).all()
+        filled = sum(len(rows) > 0 for rows in ds.index.lists)
+        calls = []
+        mean_rows = knnmt.datastore._mean_rows
+        monkeypatch.setattr(knnmt.datastore, "_mean_rows", lambda *a: calls.append(1) or mean_rows(*a))
+        for _ in range(3):
+            ds.search_batch_rows(keys[:2], 2)
+        assert len(calls) == filled  # one mean per non-empty list, on the first search only
+        ds.keys = keys.copy()  # another keys array is checked afresh
+        ds.search_batch_rows(keys[:2], 2)
+        assert len(calls) == 2 * filled
+
     def test_index_records_partitioned_row_count(self, tmp_path):
         ds = random_store(seed=38)
         save_ivf(train_ivf(ds, n_clusters=5, seed=0), tmp_path / "s.knni")

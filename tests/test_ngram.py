@@ -167,6 +167,13 @@ class TestSelectData:
         with pytest.raises(ValueError):
             select_data(pool, [sent(4)], max_order=1, top_k=2)
 
+    def test_negative_top_k_rejected(self):
+        # a negative slice end would drop pairs from the end instead
+        pool = make_corpus([([4], [5]), ([5], [6])])
+        with pytest.raises(ValueError, match="got -1"):
+            select_data(pool, [sent(4)], max_order=1, top_k=-1)
+        assert len(select_data(pool, [sent(4)], max_order=1, top_k=0)) == 0
+
 
 class TestCountsIo:
     def test_round_trip_preserves_probabilities(self, tmp_path):

@@ -50,6 +50,11 @@ class TestParams:
         b = init_params(VOCAB, seed=6)
         assert not np.array_equal(a.E, b.E)
 
+    @pytest.mark.parametrize("dims", [(0, 4), (4, 0)])
+    def test_dims_below_one_rejected(self, dims):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            init_params(VOCAB, *dims)
+
     def test_softmax_normalizes_and_survives_large_logits(self):
         p = softmax(np.array([1000.0, 1000.0, 999.0]))
         assert abs(p.sum() - 1.0) < 1e-12
