@@ -46,7 +46,6 @@ from .decode import (
 )
 from .metrics import BleuReport, bleu, corpus_wer, edit_distance, wer
 from .ngram import (
-    LmInterpConfig,
     NgramLm,
     build_seed_ngrams,
     lm_interpolate,

@@ -123,7 +123,6 @@ class DomainShiftBenchmark:
     vocab: Vocab
     general: ParallelCorpus
     talks: ParallelCorpus
-    term_source_ids: tuple[int, ...]
     term_target_ids: tuple[int, ...]
 
 
@@ -138,7 +137,6 @@ def make_domain_shift_benchmark() -> DomainShiftBenchmark:
         vocab=vocab,
         general=general,
         talks=talks,
-        term_source_ids=tuple(vocab.token_to_id(s) for s, _ in TERMS),
         term_target_ids=tuple(vocab.token_to_id(t) for _, t in TERMS),
     )
 

@@ -46,7 +46,7 @@ from .core import (
 from .datastore import build, check_index, load_datastore, load_ivf, save_datastore, save_ivf, train_ivf
 from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode_batch, grid_search
 from .metrics import bleu, corpus_wer
-from .ngram import LmInterpConfig, lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
+from .ngram import lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
 from .pipeline import DiversifyConfig, diversify, leave_one_out_eval
 from .refmodel import RefModel, TrainConfig, TrainStats, init_params, load_checkpoint, save_checkpoint, train
 
@@ -195,7 +195,7 @@ def _load_lm(ns, vocab: Vocab):
     general = load_ngram_counts(ns.lm, vocab)
     if ns.lm_domain:
         domain = load_ngram_counts(ns.lm_domain, vocab)
-        return lm_interpolate(general, domain, LmInterpConfig(ns.lm_lambda))
+        return lm_interpolate(general, domain, ns.lm_lambda)
     return general.distribution
 
 
@@ -326,7 +326,7 @@ def _cmd_diversify(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
     corpus = load_corpus(ns.corpus, vocab)
     forward, backward = _load_models([ns.forward_model, ns.backward_model], None, vocab)
-    cfg = DiversifyConfig(rounds=ns.rounds, beam=ns.beam, dedup=not ns.no_dedup)
+    cfg = DiversifyConfig(beam=ns.beam, dedup=not ns.no_dedup)
     augmented = diversify(corpus, forward, backward, cfg)
     write_corpus(ns.out, augmented, vocab)
     return {"command": "diversify", "original": len(corpus), "total": len(augmented), "out": ns.out}, None
@@ -524,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--backward-model", required=True, help="target-to-source checkpoint")
     sp.add_argument("--vocab", required=True)
     sp.add_argument("--out", required=True, help="augmented corpus TSV")
-    sp.add_argument("--rounds", type=int, default=1)
     sp.add_argument("--beam", type=int, default=4)
     sp.add_argument("--no-dedup", action="store_true", help="keep exact duplicates")
 

@@ -16,6 +16,7 @@ BOS_ID = 1
 EOS_ID = 2
 UNK_ID = 3
 RESERVED_TOKENS = ("<pad>", "<s>", "</s>", "<unk>")
+TALK_ID_LIMIT = 2**32  # talk ids are stored as uint32
 
 
 class CorpusError(ValueError):
@@ -190,7 +191,8 @@ def read_tsv(path: str | Path) -> list[tuple[str, str, str, int]]:
     """Parse the corpus TSV format: source<TAB>target[<TAB>domain[<TAB>talk_id]].
 
     Missing domain defaults to "general", missing talk_id to 0. A line with
-    fewer than 2 fields raises CorpusError naming the 1-based line number.
+    fewer than 2 fields, or a talk_id that is not an integer in
+    [0, TALK_ID_LIMIT), raises CorpusError naming the 1-based line number.
     """
     rows: list[tuple[str, str, str, int]] = []
     for lineno, line in enumerate(_text_lines(path), start=1):
@@ -209,6 +211,8 @@ def read_tsv(path: str | Path) -> list[tuple[str, str, str, int]]:
                 raise CorpusError(
                     f"{path}: line {lineno}: talk_id is not an integer: {fields[3]!r}"
                 ) from exc
+            if not 0 <= talk_id < TALK_ID_LIMIT:
+                raise CorpusError(f"{path}: line {lineno}: talk_id must be in [0, 2**32), got {talk_id}")
         else:
             talk_id = 0
         rows.append((source, target, domain, talk_id))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, Sentence
+from .core import BOS_ID, EOS_ID, TALK_ID_LIMIT, Sentence
 from .datastore import Datastore, Neighbor
 from .metrics import bleu
 from .refmodel import StepModel
@@ -54,6 +54,8 @@ class DecodeConfig:
             raise ValueError("max_len must be >= 1")
         if self.fusion_alpha < 0:
             raise ValueError("fusion_alpha must be >= 0")
+        if self.exclude_talk is not None and not 0 <= self.exclude_talk < TALK_ID_LIMIT:
+            raise ValueError(f"exclude_talk must be in [0, 2**32), got {self.exclude_talk}")
 
 
 def knn_distributions(
@@ -62,14 +64,10 @@ def knn_distributions(
     """p_knn for a (B, take) block of retrieved token ids and distances: row
     b weighs each of its tokens by exp(-distance/T), summed per token and
     normalized. Slots at distance +inf weigh exactly 0; every row needs one
-    finite distance. A token id outside the vocabulary raises ValueError
-    rather than leaking into the next row."""
+    finite distance. Every token id must be below vocab_size, or it would
+    leak into the next row: beam decoding checks each store once, up front."""
     if T <= 0:
         raise ValueError("temperature must be > 0")
-    if values.max() >= vocab_size:
-        raise ValueError(
-            f"datastore token id {values.max()} is outside the vocabulary of {vocab_size}"
-        )
     d = distances.astype(np.float64)
     n = len(d)
     # shift by each row's minimum distance: same normalized result, no underflow
@@ -85,13 +83,22 @@ def knn_distribution(
     neighbors: Sequence[Neighbor], T: float, vocab_size: int
 ) -> np.ndarray | None:
     """knn_distributions for one neighbor list. Returns None for an empty
-    list so the caller can fall back to the plain model distribution."""
+    list so the caller can fall back to the plain model distribution. A
+    token id outside the vocabulary raises ValueError."""
     if not neighbors:
         return None
     n = len(neighbors)
     values = np.fromiter((nb.value for nb in neighbors), np.intp, n)
+    _check_token_ids(values, vocab_size)
     distances = np.fromiter((nb.distance for nb in neighbors), np.float64, n)
     return knn_distributions(values[None, :], distances[None, :], T, vocab_size)[0]
+
+
+def _check_token_ids(values: np.ndarray, vocab_size: int) -> None:
+    if values.max() >= vocab_size:
+        raise ValueError(
+            f"datastore token id {values.max()} is outside the vocabulary of {vocab_size}"
+        )
 
 
 def interpolate(p_model: np.ndarray, p_knn: np.ndarray, w: float) -> np.ndarray:
@@ -214,7 +221,8 @@ def _model_stores(
     models: StepModel | Sequence[StepModel],
     datastores: Datastore | Sequence[Datastore | None] | None,
 ) -> tuple[list[StepModel], list[Datastore | None]]:
-    """The models and one store (or None) per model, checked for count and dim."""
+    """The models and one store (or None) per model, checked for count, dim
+    and token ids. An empty store finds nothing, so it decodes as plain."""
     model_list = [models] if isinstance(models, StepModel) else list(models)
     if datastores is None:
         store_list: list[Datastore | None] = [None] * len(model_list)
@@ -227,10 +235,14 @@ def _model_stores(
             f"{len(model_list)} models but {len(store_list)} datastores"
         )
     for model, store in zip(model_list, store_list):
-        if store is not None and store.dim != model.hidden_dim():
+        if store is None:
+            continue
+        if store.dim != model.hidden_dim():
             raise ValueError(
                 f"datastore dim {store.dim} != model hidden dim {model.hidden_dim()}"
             )
+        if len(store):
+            _check_token_ids(store.values, model.vocab_size())
     return model_list, store_list
 
 

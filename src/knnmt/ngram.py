@@ -20,8 +20,8 @@ FLOOR = 0.01
 
 @dataclass
 class NgramLm:
-    """Jelinek-Mercer interpolated n-gram model with a uniform floor of
-    weight FLOOR.
+    """Jelinek-Mercer interpolated n-gram model that weights its orders
+    uniformly, with a uniform floor of weight FLOOR.
 
     `counts` holds raw n-gram counts for tuple lengths 1..order. Context
     denominators are derived from them, so the distribution over the
@@ -32,17 +32,12 @@ class NgramLm:
     order: int
     vocab_size: int
     counts: dict[Gram, int]
-    weights: tuple[float, ...]
     _ctx: dict[Gram, int] = field(init=False, repr=False)
     _cont: dict[Gram, list[tuple[int, int]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.order <= 5:
             raise ValueError(f"order must be in [1, 5], got {self.order}")
-        if len(self.weights) != self.order:
-            raise ValueError("need one interpolation weight per order")
-        if any(w < 0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("interpolation weights must be non-negative and sum to 1")
         ctx: dict[Gram, int] = {}
         cont: dict[Gram, list[tuple[int, int]]] = {}
         for gram, count in self.counts.items():
@@ -64,7 +59,8 @@ class NgramLm:
         order with a uniform floor. Strictly positive."""
         hist = self._history(history)
         p = FLOOR / self.vocab_size
-        for j, weight in enumerate(self.weights, start=1):
+        weight = 1.0 / self.order
+        for j in range(1, self.order + 1):
             ctx = hist[len(hist) - (j - 1) :]
             denom = self._ctx.get(ctx, 0)
             if denom == 0:
@@ -78,7 +74,8 @@ class NgramLm:
         """Probability vector over the vocabulary for the given history."""
         hist = self._history(history)
         dist = np.full(self.vocab_size, FLOOR / self.vocab_size)
-        for j, weight in enumerate(self.weights, start=1):
+        weight = 1.0 / self.order
+        for j in range(1, self.order + 1):
             ctx = hist[len(hist) - (j - 1) :]
             denom = self._ctx.get(ctx, 0)
             scale = (1.0 - FLOOR) * weight
@@ -90,16 +87,10 @@ class NgramLm:
         return dist
 
 
-def lm_train(
-    corpus: Sequence[Sentence],
-    order: int,
-    vocab_size: int,
-    weights: Sequence[float] | None = None,
-) -> NgramLm:
+def lm_train(corpus: Sequence[Sentence], order: int, vocab_size: int) -> NgramLm:
     """Count BOS-padded n-grams of every order up to `order` over the corpus.
 
     Sentence tokens are the prediction targets; no EOS event is added.
-    Default per-order weights are uniform.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -112,35 +103,25 @@ def lm_train(
             for j in range(1, order + 1):
                 gram = seq[i - j + 1 : i + 1]
                 counts[gram] = counts.get(gram, 0) + 1
-    if weights is None:
-        weights = (1.0 / order,) * order
-    return NgramLm(order, vocab_size, counts, tuple(weights))
-
-
-@dataclass(frozen=True)
-class LmInterpConfig:
-    lambda_domain: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lambda_domain <= 1.0:
-            raise ValueError("lambda_domain must be in [0, 1]")
+    return NgramLm(order, vocab_size, counts)
 
 
 def lm_interpolate(
-    general: NgramLm, domain: NgramLm, cfg: LmInterpConfig
+    general: NgramLm, domain: NgramLm, lambda_domain: float
 ) -> Callable[[Sequence[int]], np.ndarray]:
     """Probability function mixing a domain LM into a general one:
     p = lambda * p_domain + (1 - lambda) * p_general."""
+    if not 0.0 <= lambda_domain <= 1.0:
+        raise ValueError("lambda_domain must be in [0, 1]")
     if general.vocab_size != domain.vocab_size:
         raise ValueError(
             f"vocabulary mismatch: {general.vocab_size} vs {domain.vocab_size}"
         )
-    lam = cfg.lambda_domain
 
     def interpolated(history: Sequence[int]) -> np.ndarray:
-        return lam * domain.distribution(history) + (1.0 - lam) * general.distribution(
-            history
-        )
+        return lambda_domain * domain.distribution(history) + (
+            1.0 - lambda_domain
+        ) * general.distribution(history)
 
     return interpolated
 
@@ -208,8 +189,7 @@ def save_ngram_counts(lm: NgramLm, vocab: Vocab, path: str | Path) -> None:
 
 
 def load_ngram_counts(path: str | Path, vocab: Vocab) -> NgramLm:
-    """Load a counts listing written by save_ngram_counts, with uniform
-    per-order weights, since the listing records none. A malformed
+    """Load a counts listing written by save_ngram_counts. A malformed
     line (not two tab-separated fields, a count that is not an integer
     >= 1, an order outside [1, 5]), a token not in the vocabulary (a
     literal <unk> is in it) or a gram listed twice is an error naming the
@@ -240,7 +220,7 @@ def load_ngram_counts(path: str | Path, vocab: Vocab) -> NgramLm:
         if gram in counts:
             raise ValueError(f"{path}: line {n}: gram {toks!r} is listed twice")
         counts[gram] = count
-    return NgramLm(order, len(vocab), counts, (1.0 / order,) * order)
+    return NgramLm(order, len(vocab), counts)
 
 
 def _line_int(path: str | Path, lineno: int, what: str, text: str) -> int:

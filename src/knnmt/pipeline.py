@@ -20,13 +20,10 @@ from .refmodel import StepModel
 
 @dataclass(frozen=True)
 class DiversifyConfig:
-    rounds: int = 1
     beam: int = 4
     dedup: bool = True
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
 
@@ -39,13 +36,11 @@ def diversify(
 ) -> ParallelCorpus:
     """Augment a bitext with synthetic pairs that keep one original side.
 
-    Each round translates the original sources with the forward model and
-    the original targets with the backward model, so no output pair is
-    synthetic on both sides. Decoding is deterministic, so every round
-    yields the same pairs: they are decoded once and repeated. Output order
-    is originals first, then forward then backward pairs per round; exact
-    duplicates keep the first copy. A round-trip that produces an empty
-    translation is dropped.
+    The forward model translates the original sources and the backward
+    model the original targets, once each, so no output pair is synthetic
+    on both sides. Output order is originals first, then forward then
+    backward pairs; exact duplicates keep the first copy. A round-trip that
+    produces an empty translation is dropped.
     """
     if len(bitext) == 0:
         raise ValueError("bitext is empty")
@@ -57,7 +52,7 @@ def diversify(
     ] + [
         replace(pair, source=Sentence(tuple(hyp))) for pair, (hyp, _) in zip(bitext.pairs, backward_hyps) if hyp
     ]
-    out = list(bitext.pairs) + synthetic * cfg.rounds
+    out = list(bitext.pairs) + synthetic
     return ParallelCorpus(_first_copies(out) if cfg.dedup else tuple(out), lang=bitext.lang)
 
 

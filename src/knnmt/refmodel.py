@@ -35,7 +35,8 @@ class StepModel(ABC):
     encode() turns a source sentence into a fixed context; step() consumes
     one previous token and returns the new hidden state, the distribution
     over the vocabulary, and the recurrent state to carry forward.
-    step_batch() does the same for a batch of rows at once.
+    vocab_size() is the length of that distribution. step_batch() does the
+    same for a batch of rows at once.
     """
 
     @abstractmethod
@@ -51,6 +52,9 @@ class StepModel(ABC):
 
     @abstractmethod
     def hidden_dim(self) -> int: ...
+
+    @abstractmethod
+    def vocab_size(self) -> int: ...
 
     def step_batch(
         self, contexts: Sequence[Any], states: Sequence[Any], prev_tokens: Sequence[int]
@@ -151,6 +155,8 @@ def init_adapter(rank: int, hidden_dim: int, seed: int = 0) -> AdapterParams:
 
 class RefModel(StepModel):
     def __init__(self, params: RefModelParams, adapter_rank: int = 8):
+        if adapter_rank < 1:
+            raise ValueError(f"adapter_rank must be >= 1, got {adapter_rank}")
         self.params = params
         self.adapter_rank = adapter_rank
         self.adapters: dict[str, AdapterParams] = {}
@@ -158,6 +164,9 @@ class RefModel(StepModel):
 
     def hidden_dim(self) -> int:
         return self.params.hidden_dim
+
+    def vocab_size(self) -> int:
+        return self.params.vocab_size
 
     def add_adapter(self, tag: str, seed: int = 0) -> AdapterParams:
         if tag in self.adapters:

@@ -11,11 +11,14 @@ class CopyModel(StepModel):
     each with probability 1. Useful as a known-perfect translator."""
 
     def __init__(self, vocab_size: int, dim: int = 4):
-        self.vocab_size = vocab_size
+        self.n_tokens = vocab_size
         self.dim = dim
 
     def hidden_dim(self) -> int:
         return self.dim
+
+    def vocab_size(self) -> int:
+        return self.n_tokens
 
     def encode(self, source: Sentence):
         return tuple(source.token_ids)
@@ -25,7 +28,7 @@ class CopyModel(StepModel):
 
     def step(self, context, state, prev_token):
         token = context[state] if state < len(context) else EOS_ID
-        dist = np.zeros(self.vocab_size)
+        dist = np.zeros(self.n_tokens)
         dist[token] = 1.0
         hidden = np.zeros(self.dim)
         hidden[0] = float(state)

@@ -204,7 +204,7 @@ def test_05_adapter_matches_full_retrain(capsys, bench, base_model):
     )
     bwd = RefModel(init_params(len(vocab), seed=5))
     train(bwd, flipped, TrainConfig(learning_rate=1.0, epochs=25, seed=0))
-    div = diversify(new_orig, fwd, bwd, DiversifyConfig(rounds=1, beam=4))
+    div = diversify(new_orig, fwd, bwd, DiversifyConfig(beam=4))
 
     retrain = RefModel(init_params(len(vocab), seed=3))
     train(retrain, div, TrainConfig(learning_rate=1.0, epochs=50, seed=0))

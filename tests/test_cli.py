@@ -462,7 +462,7 @@ class TestDecode:
         )
         assert code == 2
         assert "outside the vocabulary" in capsys.readouterr().err
-        # the error comes mid-decode; the partial output is removed
+        # the store is refused before decoding starts; no output is left
         assert not any(p.name.startswith((".hyps.jsonl", "hyps.jsonl")) for p in work.iterdir())
 
     def test_ivf_clusters_requires_ivf_out(self, work, capsys):
@@ -886,6 +886,44 @@ class TestDataErrors:
         argv += ["--corpus", str(root / "talks.tsv"), "--out", str(tmp_path / "h.jsonl")]
         with pytest.raises(TypeError, match="a defect"):
             main(argv)
+
+
+class TestOutOfRange:
+    """Values the formats or the model cannot hold are data errors: exit 2
+    with one `error:` line and no traceback, and no output file."""
+
+    @pytest.mark.parametrize("talk_id", ["4294967296", "-1"])
+    @pytest.mark.parametrize("command, flag", [("build-datastore", "--corpus"), ("leave-one-out", "--talkset")])
+    def test_talk_id_outside_uint32(self, pipeline, tmp_path, capsys, command, flag, talk_id):
+        root = pipeline[0]
+        corpus = tmp_path / "talks.tsv"
+        corpus.write_text(f"w1 w2\tw3\ttalks\t0\nw2 w3\tw1\ttalks\t{talk_id}\n")
+        argv = [command, "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += [flag, str(corpus), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: line 2: talk_id must be in [0, 2**32), got {talk_id}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["talks.tsv"]
+
+    def test_negative_exclude_talk(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--datastore", str(root / "s.knnd")]
+        argv += ["--exclude-talk", "-1", "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: exclude_talk must be in [0, 2**32), got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_adapter_rank_below_one(self, pipeline, tmp_path, capsys, rank):
+        root = pipeline[0]
+        argv = ["train", "--corpus", str(root / "train.tsv"), "--epochs", "1"]
+        argv += ["--adapter-rank", rank, "--out", str(tmp_path / "m.rmdl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: adapter_rank must be >= 1, got {rank}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVocabSize:

@@ -149,6 +149,13 @@ class TestCorpusIo:
         with pytest.raises(CorpusError, match="talk_id"):
             read_tsv(path)
 
+    @pytest.mark.parametrize("talk_id", [-1, 2**32])
+    def test_talk_id_outside_uint32_rejected(self, tmp_path, talk_id):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"a\tb\tgeneral\t{2**32 - 1}\na\tb\tgeneral\t{talk_id}\n")
+        with pytest.raises(CorpusError, match=rf"c.tsv: line 2: talk_id must be in \[0, 2\*\*32\), got {talk_id}"):
+            read_tsv(path)
+
     def test_empty_side_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("\tb\n")

@@ -231,6 +231,29 @@ class TestBeamDecode:
             with pytest.raises(ValueError, match="vocabulary"):
                 beam_decode(model, ds, corpus.pairs[0].source, DecodeConfig(w=0.3, beam=beam))
 
+    def test_value_outside_vocabulary_refused_before_the_first_step(self, trained, monkeypatch):
+        model, corpus = trained
+        ds = build(model, corpus)
+        ds.values = ds.values.copy()
+        ds.values[-1] = 14  # vocabulary has 14 ids
+        steps, step = [], model.step
+        monkeypatch.setattr(model, "step", lambda *args: steps.append(args) or step(*args))
+        with pytest.raises(ValueError, match="datastore token id 14 is outside the vocabulary of 14"):
+            beam_decode_batch(model, ds, [p.source for p in corpus.pairs[:3]], DecodeConfig(w=0.3))
+        assert steps == []
+
+    def test_empty_store_decodes_as_plain(self, trained):
+        model, corpus = trained
+        empty = Datastore(
+            dim=model.hidden_dim(),
+            keys=np.zeros((0, model.hidden_dim()), dtype=np.float32),
+            values=np.zeros(0, dtype=np.uint32),
+            talk_ids=np.zeros(0, dtype=np.uint32),
+        )
+        sources = [p.source for p in corpus.pairs[:3]]
+        cfg = DecodeConfig(w=0.3)
+        assert beam_decode_batch(model, empty, sources, cfg) == beam_decode_batch(model, None, sources, cfg)
+
 
 class TestDecodeConfig:
     @pytest.mark.parametrize(
@@ -242,6 +265,8 @@ class TestDecodeConfig:
             {"w": 1.1},
             {"beam": 0},
             {"fusion_alpha": -1.0},
+            {"exclude_talk": -1},
+            {"exclude_talk": 2**32},
         ],
     )
     def test_validation(self, kwargs):

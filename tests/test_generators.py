@@ -4,7 +4,7 @@ change to either that moves a single token or bit shows here."""
 import hashlib
 
 from knnmt.benchmark import benchmark_vocab, make_domain_shift_benchmark, make_talks, shift_term_targets
-from knnmt.ngram import lm_train, load_ngram_counts, save_ngram_counts
+from knnmt.ngram import lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts
 
 
 def corpus_digest(corpus):
@@ -41,3 +41,14 @@ def test_trigram_counts_and_distributions_are_pinned(tmp_path):
         for history in [(), (93,), (93, 63, 36), (15, 3, 4)]:
             h.update(model.distribution(history).tobytes())
         assert h.hexdigest() == "309827809ea69697710f35fed86e7f6b85a4ac43e8c59fca4235b1ba15b4c588"
+
+
+def test_interpolated_trigrams_are_pinned():
+    bench = make_domain_shift_benchmark()
+    general = lm_train([p.target for p in bench.general.pairs], 3, len(bench.vocab))
+    domain = lm_train([p.target for p in bench.talks.pairs], 3, len(bench.vocab))
+    interpolated = lm_interpolate(general, domain, 0.3)
+    h = hashlib.sha256()
+    for history in [(), (93,), (93, 63, 36), (15, 3, 4)]:
+        h.update(interpolated(history).tobytes())
+    assert h.hexdigest() == "ca6ff10dd1d68f40904c3844572a14c9c15acfb3e241bb8f57c4bad6dcd0dd27"

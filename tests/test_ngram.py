@@ -5,7 +5,6 @@ import pytest
 
 from knnmt.core import BOS_ID, UNK_ID, Sentence, build_vocab
 from knnmt.ngram import (
-    LmInterpConfig,
     NgramLm,
     build_seed_ngrams,
     lm_interpolate,
@@ -25,11 +24,11 @@ def sent(*ids):
 class TestLmTrain:
     def test_unigram_mixture_hand_case(self):
         # corpus "a a b" with ids a=4, b=5, vocab 8: p(a) = 0.99*(2/3) + 0.01/8
-        lm = lm_train([sent(4, 4, 5)], order=1, vocab_size=8, weights=(1.0,))
+        lm = lm_train([sent(4, 4, 5)], order=1, vocab_size=8)
         assert lm.prob((), 4) == pytest.approx(0.99 * (2 / 3) + 0.01 / 8, abs=1e-12)
 
     def test_unseen_token_gets_floor_exactly(self):
-        lm = lm_train([sent(4, 4, 5)], order=1, vocab_size=8, weights=(1.0,))
+        lm = lm_train([sent(4, 4, 5)], order=1, vocab_size=8)
         assert lm.prob((), 7) == pytest.approx(0.01 / 8, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
@@ -65,12 +64,6 @@ class TestLmTrain:
         with pytest.raises(ValueError):
             lm_train([sent(4)], order=order, vocab_size=8)
 
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            lm_train([sent(4)], order=2, vocab_size=8, weights=(0.7, 0.7))
-        with pytest.raises(ValueError):
-            lm_train([sent(4)], order=2, vocab_size=8, weights=(-0.5, 1.5))
-
     def test_stored_counts_all_positive(self):
         lm = lm_train([sent(4, 5, 4)], order=3, vocab_size=8)
         assert all(c >= 1 for c in lm.counts.values())
@@ -85,17 +78,17 @@ class TestLmInterpolate:
 
     def test_lambda_one_is_domain(self, lms):
         general, domain = lms
-        fn = lm_interpolate(general, domain, LmInterpConfig(lambda_domain=1.0))
+        fn = lm_interpolate(general, domain, 1.0)
         np.testing.assert_array_equal(fn([4]), domain.distribution([4]))
 
     def test_lambda_zero_is_general(self, lms):
         general, domain = lms
-        fn = lm_interpolate(general, domain, LmInterpConfig(lambda_domain=0.0))
+        fn = lm_interpolate(general, domain, 0.0)
         np.testing.assert_array_equal(fn([4]), general.distribution([4]))
 
     def test_pointwise_mixture(self, lms):
         general, domain = lms
-        fn = lm_interpolate(general, domain, LmInterpConfig(lambda_domain=0.5))
+        fn = lm_interpolate(general, domain, 0.5)
         want = 0.5 * domain.distribution([6]) + 0.5 * general.distribution([6])
         np.testing.assert_allclose(fn([6]), want, atol=1e-15)
 
@@ -103,7 +96,7 @@ class TestLmInterpolate:
         general, domain = lms
         rng = np.random.default_rng(1)
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            fn = lm_interpolate(general, domain, LmInterpConfig(lambda_domain=lam))
+            fn = lm_interpolate(general, domain, lam)
             for _ in range(20):
                 hist = [int(x) for x in rng.integers(0, 10, size=rng.integers(0, 3))]
                 assert abs(fn(hist).sum() - 1.0) < 1e-9
@@ -112,12 +105,13 @@ class TestLmInterpolate:
         a = lm_train([sent(4)], order=1, vocab_size=8)
         b = lm_train([sent(4)], order=1, vocab_size=9)
         with pytest.raises(ValueError):
-            lm_interpolate(a, b, LmInterpConfig(lambda_domain=0.5))
+            lm_interpolate(a, b, 0.5)
 
     @pytest.mark.parametrize("lam", [-0.1, 1.1])
-    def test_lambda_range_checked(self, lam):
-        with pytest.raises(ValueError):
-            LmInterpConfig(lambda_domain=lam)
+    def test_lambda_range_checked(self, lms, lam):
+        general, domain = lms
+        with pytest.raises(ValueError, match=r"lambda_domain must be in \[0, 1\]"):
+            lm_interpolate(general, domain, lam)
 
 
 class TestOverlapScore:

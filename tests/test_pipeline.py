@@ -78,17 +78,9 @@ class TestDiversify:
         # originals + forward round + backward round, all identical pairs
         assert len(out.pairs) == 3 * len(base.pairs)
 
-    def test_rounds_multiply_synthetics(self):
+    def test_each_direction_decoded_once(self, monkeypatch):
         corpus = random_corpus(4, 6, 12)
         copy = CopyModel(12)
-        one = diversify(corpus, copy, copy, DiversifyConfig(rounds=1, dedup=False))
-        two = diversify(corpus, copy, copy, DiversifyConfig(rounds=2, dedup=False))
-        assert len(two.pairs) == len(one.pairs) + 2 * len(corpus.pairs)
-
-    def test_rounds_repeat_one_decoded_block(self, monkeypatch):
-        corpus = random_corpus(4, 6, 12)
-        copy = CopyModel(12)
-        one = diversify(corpus, copy, copy, DiversifyConfig(rounds=1, dedup=False))
         calls = []
 
         def counted(*args, **kwargs):
@@ -96,9 +88,7 @@ class TestDiversify:
             return beam_decode_batch(*args, **kwargs)
 
         monkeypatch.setattr(knnmt.pipeline, "beam_decode_batch", counted)
-        three = diversify(corpus, copy, copy, DiversifyConfig(rounds=3, dedup=False))
-        synthetic = one.pairs[len(corpus.pairs) :]
-        assert three.pairs == corpus.pairs + synthetic * 3
+        diversify(corpus, copy, copy, DiversifyConfig(dedup=False))
         assert len(calls) == 2
 
     def test_empty_corpus_rejected(self):
@@ -106,8 +96,6 @@ class TestDiversify:
             diversify(ParallelCorpus((), lang="xx"), CopyModel(12), CopyModel(12))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DiversifyConfig(rounds=0)
         with pytest.raises(ValueError):
             DiversifyConfig(beam=0)
 

@@ -376,6 +376,11 @@ class TestAdapters:
         model.set_active_adapter(None)
         assert model.active_adapter is None
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ValueError, match=f"adapter_rank must be >= 1, got {rank}"):
+            fresh_model(rank=rank)
+
 
 class TestCheckpoint:
     def test_round_trip_base_and_adapters(self, tmp_path):
@@ -428,6 +433,15 @@ class TestCheckpoint:
             want += model.adapters[tag].W_up.astype("<f8").tobytes()
         save_checkpoint(model, tmp_path / "m.rmdl")
         assert (tmp_path / "m.rmdl").read_bytes() == want
+
+    def test_rank_zero_header_rejected(self, tmp_path):
+        path = tmp_path / "m.rmdl"
+        save_checkpoint(fresh_model(seed=9, rank=3), path)
+        blob = bytearray(path.read_bytes())
+        blob[20:24] = struct.pack("<I", 0)  # the rank, last of the five header fields
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="adapter_rank must be >= 1, got 0"):
+            load_checkpoint(path)
 
     def test_load_holds_the_file_once(self, tmp_path):
         model = RefModel(init_params(2000, seed=1), adapter_rank=8)
