@@ -193,10 +193,11 @@ def _load_lm(ns, vocab: Vocab):
             raise _UsageError("--fusion-alpha requires --lm")
         return None
     general = load_ngram_counts(ns.lm, vocab)
-    if ns.lm_domain:
-        domain = load_ngram_counts(ns.lm_domain, vocab)
-        return lm_interpolate(general, domain, ns.lm_lambda)
-    return general.distribution
+    domain = load_ngram_counts(ns.lm_domain, vocab) if ns.lm_domain else None
+    # checked once every input has loaded, so a bad file is still a data error
+    if not ns.fusion_alpha:  # with no weight the LM would change nothing
+        raise _UsageError("--lm requires --fusion-alpha")
+    return general.distribution if domain is None else lm_interpolate(general, domain, ns.lm_lambda)
 
 
 def _decode_config(ns) -> DecodeConfig:
@@ -277,9 +278,9 @@ def _cmd_decode(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
     models = _load_models(ns.model, ns.adapter, vocab)
     stores = _load_stores(ns, models)
+    corpus = _load_direction(ns.corpus, vocab, ns.lang)
     lm = _load_lm(ns, vocab)
     cfg = _decode_config(ns)
-    corpus = _load_direction(ns.corpus, vocab, ns.lang)
     cfg_snapshot = asdict(cfg)
     results = beam_decode_batch(models, stores, [pair.source for pair in corpus], cfg, lm=lm)
     with _replacing(ns.out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:

@@ -191,8 +191,9 @@ def read_tsv(path: str | Path) -> list[tuple[str, str, str, int]]:
     """Parse the corpus TSV format: source<TAB>target[<TAB>domain[<TAB>talk_id]].
 
     Missing domain defaults to "general", missing talk_id to 0. A line with
-    fewer than 2 fields, or a talk_id that is not an integer in
-    [0, TALK_ID_LIMIT), raises CorpusError naming the 1-based line number.
+    fewer than 2 fields, or a talk_id that is not a run of ASCII digits
+    naming an integer in [0, TALK_ID_LIMIT), raises CorpusError naming the
+    1-based line number.
     """
     rows: list[tuple[str, str, str, int]] = []
     for lineno, line in enumerate(_text_lines(path), start=1):
@@ -213,6 +214,8 @@ def read_tsv(path: str | Path) -> list[tuple[str, str, str, int]]:
                 ) from exc
             if not 0 <= talk_id < TALK_ID_LIMIT:
                 raise CorpusError(f"{path}: line {lineno}: talk_id must be in [0, 2**32), got {talk_id}")
+            if not (fields[3].isascii() and fields[3].isdigit()):  # int() also reads "1_0", " +7 ", "٣"
+                raise CorpusError(f"{path}: line {lineno}: talk_id must be ASCII digits 0-9, got {fields[3]!r}")
         else:
             talk_id = 0
         rows.append((source, target, domain, talk_id))

@@ -6,15 +6,16 @@ that model's own output distribution first; the ensemble average is taken
 afterwards. Interpolation weight 0 skips retrieval entirely, so results
 are then byte-identical to decoding without a datastore.
 
-Sentences decode in lockstep blocks of _DECODE_BLOCK: each step, one
-search per store and one mixing serve every live hypothesis of the block,
-and each sentence then picks its own candidates. A row's search result
-and distribution do not depend on the other rows, so a sentence gets the
-same bits in any block, alone included.
+Each distinct source is decoded once per call, in lockstep blocks of
+_DECODE_BLOCK: each step, one search per store and one mixing serve every
+live hypothesis of the block, and each sentence then picks its own
+candidates. A row's search result and distribution do not depend on the
+other rows, so a sentence gets the same bits in any block, alone included.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -70,12 +71,14 @@ def knn_distributions(
         raise ValueError("temperature must be > 0")
     d = distances.astype(np.float64)
     n = len(d)
-    # shift by each row's minimum distance: same normalized result, no underflow
-    weights = np.exp(-(d - d.min(axis=1, keepdims=True)) / T)
-    flat = values.astype(np.intp) + vocab_size * np.arange(n, dtype=np.intp)[:, None]
+    # shift by each row's minimum distance: same normalized result, no
+    # underflow. The ufunc reductions are what d.min and p.sum call, without
+    # their Python wrappers; m - d is exactly -(d - m).
+    weights = np.exp((np.minimum.reduce(d, axis=1, keepdims=True) - d) / T)
+    flat = values.astype(np.intp) + np.arange(0, n * vocab_size, vocab_size, dtype=np.intp)[:, None]
     p = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=n * vocab_size)
     p = p.reshape(n, vocab_size)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= np.add.reduce(p, axis=1, keepdims=True)
     return p
 
 
@@ -132,17 +135,20 @@ class _Hyp:
     states: tuple
 
 
-# Sentences decoded in lockstep. A fixed size, not a flag: every live
-# hypothesis of a block shares one search per store and one mixing a step,
-# so a block of a few sentences already makes those calls few.
+# Distinct sentences decoded in lockstep. A fixed size, not a flag: every
+# live hypothesis of a block shares one search per store and one mixing a
+# step, so a block of a few sentences already makes those calls few.
 _DECODE_BLOCK = 8
 
 
 @dataclass
 class _Beam:
-    """One sentence's search: its contexts (one per model), length cap, and
-    live and completed hypotheses."""
+    """One sentence's search at one grid cell: the sentence's slot in its
+    block, the cell, its contexts (one per model), length cap, and live and
+    completed hypotheses."""
 
+    src: int
+    cell: int
     contexts: list
     max_len: int
     live: list[_Hyp]
@@ -165,56 +171,81 @@ class _Beam:
                 next_live.append(_Hyp(parent.tokens + (token,), score, parent.steps + 1, states[hi]))
         self.live = next_live
 
-    def best(self) -> tuple[list[int], float]:
+    def best(self) -> tuple[tuple[int, ...], float]:
         pool = self.completed if self.completed else self.live
         best = min(pool, key=lambda h: (-(h.logprob / h.steps), h.tokens))
-        return list(best.tokens), best.logprob / best.steps
+        return best.tokens, best.logprob / best.steps
+
+
+def _run(rows: list[int]) -> slice | list[int]:
+    """`rows` as an index: a slice (views, not copies) if they are consecutive."""
+    return slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[0] + len(rows))) else rows
+
+
+def _mix_knn(
+    p: np.ndarray, store: Datastore, hidden: list, rows: list, row_of: list[int], cells: list[DecodeConfig]
+) -> None:
+    """Mix retrieval into the (rows, V) model distributions `p`, in place,
+    for the rows of the cells with w > 0: one search over their distinct
+    rows (row r's query is hidden[row_of[r]]), knn_distributions once per T
+    over its distinct rows, and interpolate once per cell. A row whose
+    search found nothing keeps its model distribution."""
+    spans, hi = [], 0  # (config, first row, end row) of each cell with w > 0
+    for cell, run in itertools.groupby(b.cell for b, _ in rows):
+        lo, hi = hi, hi + len(list(run))
+        if cells[cell].w > 0.0:
+            spans.append((cells[cell], lo, hi))
+    searched = list(dict.fromkeys(s for _, lo, hi in spans for s in row_of[lo:hi]))
+    if not searched:
+        return
+    at = dict(zip(searched, range(len(searched))))  # distinct row -> its row of the search
+    queries = np.array([hidden[s] for s in searched])
+    found_rows, dists = store.search_batch_rows(queries, cells[0].k, exclude_talk=cells[0].exclude_talk)
+    found = np.logical_or.reduce(found_rows >= 0, axis=1).tolist()
+    for T in dict.fromkeys(cfg.T for cfg, _, _ in spans):
+        knn: dict = {}  # search row -> its row of p_knn
+        mixes = []
+        for cfg, lo, hi in spans:
+            if cfg.T == T:
+                hits = [r for r in range(lo, hi) if found[at[row_of[r]]]]
+                mixes.append((cfg.w, hits, [knn.setdefault(at[row_of[r]], len(knn)) for r in hits]))
+        if knn:
+            take = _run(list(knn))
+            p_knn = knn_distributions(store.values[found_rows[take]], dists[take], T, p.shape[1])
+            for w, hits, knn_rows in mixes:
+                if hits:
+                    hits = _run(hits)
+                    p[hits] = interpolate(p[hits], p_knn[_run(knn_rows)], w)
 
 
 def _advance_all(
-    models: Sequence[StepModel],
-    stores: Sequence[Datastore | None],
-    rows: Sequence[tuple[list, _Hyp]],
-    cfg: DecodeConfig,
-    lm: LmFunc | None,
+    models: list[StepModel], stores: list, rows: list, cells: list[DecodeConfig], lm: LmFunc | None
 ) -> tuple[np.ndarray, list[tuple]]:
-    """One decoding step for every (contexts, hypothesis) row of a block:
-    model steps first, one row at a time, then a single batched retrieval
-    per store over all the rows, then the mixing over the stacked (rows, V)
-    distributions. Returns the mixed distributions and each row's new
-    states. A row whose retrieval found nothing keeps its model
-    distribution."""
-    stepped = [
-        [
-            model.step(contexts[mi], hyp.states[mi], hyp.tokens[-1] if hyp.tokens else BOS_ID)
-            for mi, model in enumerate(models)
-        ]
-        for contexts, hyp in rows
+    """One decoding step for every (beam, hypothesis) row of a block, the
+    beams in cell order: each distinct (source, prefix) row steps once per
+    model, one row at a time, whichever cells hold it (with one cell, no
+    two rows share one); then each store's retrieval is mixed in. Returns
+    the mixed (rows, V) distributions and each row's new states."""
+    slot: dict = {}
+    row_of = [slot.setdefault((b.src, hyp.tokens), len(slot)) for b, hyp in rows]
+    stepped = [  # one row per distinct (source, prefix)
+        [model.step(b.contexts[mi], hyp.states[mi], hyp.tokens[-1] if hyp.tokens else BOS_ID)
+         for mi, model in enumerate(models)]
+        for b, hyp in dict(zip(row_of, rows)).values()
     ]
     mixed = []
     for mi, store in enumerate(stores):
-        p = np.stack([step[mi][1] for step in stepped])
-        if store is not None and cfg.w > 0.0:
-            queries = np.stack([step[mi][0] for step in stepped])
-            found_rows, dists = store.search_batch_rows(
-                queries, cfg.k, exclude_talk=cfg.exclude_talk
-            )
-            found = (found_rows >= 0).any(axis=1)
-            if found.any():
-                # a slice when every row found something: views, not copies
-                sel = slice(None) if found.all() else found
-                p_knn = knn_distributions(
-                    store.values[found_rows[sel]], dists[sel], cfg.T, p.shape[1]
-                )
-                p[sel] = interpolate(p[sel], p_knn, cfg.w)
+        p = np.array([stepped[s][mi][1] for s in row_of])
+        if store is not None:
+            _mix_knn(p, store, [step[mi][0] for step in stepped], rows, row_of, cells)
         mixed.append(p)
     # the ensemble mean adds the models' rows in model order, elementwise,
     # so each row gets the bits a mean over that row alone gives
     p = mixed[0] if len(mixed) == 1 else np.mean(np.stack(mixed), axis=0)
-    if lm is not None and cfg.fusion_alpha > 0.0:
+    if lm is not None and cells[0].fusion_alpha > 0.0:
         for i, (_, hyp) in enumerate(rows):
-            p[i] = fuse_lm(p[i], lm(hyp.tokens), cfg.fusion_alpha)
-    return p, [tuple(step[2] for step in row) for row in stepped]
+            p[i] = fuse_lm(p[i], lm(hyp.tokens), cells[0].fusion_alpha)
+    return p, [tuple(step[2] for step in stepped[s]) for s in row_of]
 
 
 def _model_stores(
@@ -231,16 +262,12 @@ def _model_stores(
     else:
         store_list = list(datastores)
     if len(store_list) != len(model_list):
-        raise ValueError(
-            f"{len(model_list)} models but {len(store_list)} datastores"
-        )
+        raise ValueError(f"{len(model_list)} models but {len(store_list)} datastores")
     for model, store in zip(model_list, store_list):
         if store is None:
             continue
         if store.dim != model.hidden_dim():
-            raise ValueError(
-                f"datastore dim {store.dim} != model hidden dim {model.hidden_dim()}"
-            )
+            raise ValueError(f"datastore dim {store.dim} != model hidden dim {model.hidden_dim()}")
         if len(store):
             _check_token_ids(store.values, model.vocab_size())
     return model_list, store_list
@@ -274,29 +301,42 @@ def beam_decode_batch(
     lm: LmFunc | None = None,
 ) -> list[tuple[list[int], float]]:
     """beam_decode of each source, in order, equal bit for bit to decoding
-    them one at a time. Blocks of _DECODE_BLOCK sentences step in lockstep:
-    each step takes one search per store and one mixing over every live
-    hypothesis of the block's unfinished sentences. Each row's search result
-    and distribution are the same in any batch, so the block changes how
-    many calls are made, not what any sentence gets."""
+    them one at a time. Each distinct source is decoded once and its result
+    copied to every position it holds. Blocks of _DECODE_BLOCK distinct
+    sentences step in lockstep: each step takes one search per store and
+    one mixing over every live hypothesis of the block's unfinished
+    sentences. Each row's search result and distribution are the same in
+    any batch, so the block changes how many calls are made, not what any
+    sentence gets."""
+    return _decode_cells(models, datastores, sources, [cfg], lm)[0]
+
+
+def _decode_cells(
+    models, datastores, sources: Sequence[Sentence], cells: list[DecodeConfig], lm: LmFunc | None = None
+) -> list[list[tuple[list[int], float]]]:
+    """beam_decode_batch of the sources at each of `cells`, configs that
+    differ only in T and w: one result list per cell. All cells of a block
+    of distinct sources step in one lockstep pass."""
     model_list, store_list = _model_stores(models, datastores)
     if any(not source.token_ids for source in sources):
         raise ValueError("cannot decode an empty source")
-    out = []
-    for lo in range(0, len(sources), _DECODE_BLOCK):
+    base = cells[0]
+    distinct = list({source.token_ids: source for source in sources}.values())
+    best = {}
+    for lo in range(0, len(distinct), _DECODE_BLOCK):
+        block = distinct[lo : lo + _DECODE_BLOCK]
+        contexts = [[m.encode(source) for m in model_list] for source in block]
         beams = [
-            _Beam(
-                contexts=[m.encode(source) for m in model_list],
-                max_len=cfg.max_len if cfg.max_len is not None else 2 * len(source.token_ids) + 8,
-                live=[_Hyp((), 0.0, 0, tuple(m.initial_state() for m in model_list))],
-                completed=[],
-            )
-            for source in sources[lo : lo + _DECODE_BLOCK]
+            _Beam(src=i, cell=cell, contexts=contexts[i],
+                  max_len=base.max_len if base.max_len is not None else 2 * len(source) + 8,
+                  live=[_Hyp((), 0.0, 0, tuple(m.initial_state() for m in model_list))], completed=[])
+            for cell in range(len(cells))
+            for i, source in enumerate(block)
         ]
         step = 0
         while active := [b for b in beams if b.live and step < b.max_len]:
-            rows = [(b.contexts, hyp) for b in active for hyp in b.live]
-            p, states = _advance_all(model_list, store_list, rows, cfg, lm)
+            rows = [(b, hyp) for b in active for hyp in b.live]
+            p, states = _advance_all(model_list, store_list, rows, cells, lm)
             logprob = np.array([hyp.logprob for _, hyp in rows])
             # tokens with probability exactly 0 get score -inf, never chosen
             with np.errstate(divide="ignore"):
@@ -304,11 +344,12 @@ def beam_decode_batch(
             at = 0
             for b in active:
                 n = len(b.live)
-                b.advance(scores[at : at + n], states[at : at + n], cfg.beam)
+                b.advance(scores[at : at + n], states[at : at + n], base.beam)
                 at += n
             step += 1
-        out += [b.best() for b in beams]
-    return out
+        best.update(((b.cell, block[b.src].token_ids), b.best()) for b in beams)
+    return [[(list(hyp), score) for hyp, score in (best[cell, s.token_ids] for s in sources)]
+            for cell in range(len(cells))]
 
 
 @dataclass(frozen=True)
@@ -328,20 +369,17 @@ def grid_search(
     base: DecodeConfig = DecodeConfig(),
 ) -> GridSearchResult:
     """Decode the dev pairs at every (T, w), the other fields from `base`,
-    and score corpus BLEU against the references. Rows come back in grid order (T major). Best cell is
-    the highest BLEU; exact ties prefer smaller w, then smaller T."""
+    all cells in one lockstep pass, and score corpus BLEU against the
+    references. Rows come back in grid order (T major). Best cell is the
+    highest BLEU; exact ties prefer smaller w, then smaller T."""
     if not dev:
         raise ValueError("dev set is empty")
     if not T_grid or not w_grid:
         raise ValueError("grids must be non-empty")
-    sources = [src for src, _ in dev]
+    cells = [replace(base, T=float(T), w=float(w)) for T in T_grid for w in w_grid]
     refs = [list(tgt.token_ids) for _, tgt in dev]
-    rows = []
-    for T in T_grid:
-        for w in w_grid:
-            cfg = replace(base, T=float(T), w=float(w))
-            hyps = [hyp for hyp, _ in beam_decode_batch(models, datastores, sources, cfg)]
-            rows.append((float(T), float(w), bleu(hyps, refs).bleu))
+    decoded = _decode_cells(models, datastores, [src for src, _ in dev], cells)
+    rows = [(cfg.T, cfg.w, bleu([hyp for hyp, _ in hyps], refs).bleu) for cfg, hyps in zip(cells, decoded)]
     best = min(rows, key=lambda r: (-r[2], r[1], r[0]))
     return GridSearchResult(
         rows=tuple(rows), best_T=best[0], best_w=best[1], best_bleu=best[2]

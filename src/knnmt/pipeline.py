@@ -189,8 +189,9 @@ def leave_one_out_eval(
     cfg: DecodeConfig = DecodeConfig(),
     datastores: Sequence[Datastore] | None = None,
 ) -> LeaveOneOutReport:
-    """Decode each talk twice, retrieving only from the other talks versus
-    with retrieval off, and score both against the references.
+    """Decode each talk retrieving only from the other talks, and the whole
+    talk set once with retrieval off, and score both per talk against the
+    references.
 
     One datastore over the whole talk set is built per model (or passed
     in); held-out entries are excluded per query rather than by building a
@@ -206,27 +207,20 @@ def leave_one_out_eval(
     if datastores is None:
         datastores = [build(m, talkset) for m in model_list]
 
+    by_talk = [[p for p in talkset.pairs if p.talk_id == talk] for talk in talks]
+    pairs = [p for group in by_talk for p in group]
+    # the baseline arm retrieves nothing, so one call decodes every talk
+    all_base = [h for h, _ in beam_decode_batch(model_list, None, [p.source for p in pairs], cfg)]
+    all_refs = [list(p.target.token_ids) for p in pairs]
     per_talk = []
     all_knn: list[list[int]] = []
-    all_base: list[list[int]] = []
-    all_refs: list[list[int]] = []
-    for talk in talks:
-        pairs = [p for p in talkset.pairs if p.talk_id == talk]
-        sources = [p.source for p in pairs]
-        knn_cfg = replace(cfg, exclude_talk=talk)
+    for talk, group in zip(talks, by_talk):
+        sources, knn_cfg = [p.source for p in group], replace(cfg, exclude_talk=talk)
         hyps_knn = [h for h, _ in beam_decode_batch(model_list, datastores, sources, knn_cfg)]
-        hyps_base = [h for h, _ in beam_decode_batch(model_list, None, sources, cfg)]
-        refs = [list(p.target.token_ids) for p in pairs]
-        per_talk.append(
-            TalkResult(
-                talk_id=talk,
-                bleu_retrieval=bleu(hyps_knn, refs).bleu,
-                bleu_baseline=bleu(hyps_base, refs).bleu,
-            )
-        )
+        span = slice(len(all_knn), len(all_knn) + len(group))
+        refs = all_refs[span]
+        per_talk.append(TalkResult(talk, bleu(hyps_knn, refs).bleu, bleu(all_base[span], refs).bleu))
         all_knn.extend(hyps_knn)
-        all_base.extend(hyps_base)
-        all_refs.extend(refs)
 
     return LeaveOneOutReport(
         per_talk=tuple(per_talk),

@@ -529,6 +529,8 @@ def load_checkpoint(path: str | Path) -> RefModel:
         version, d_e, d, v, rank = struct.unpack("<5I", take_bytes(20))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if rank < 1:
+            raise ValueError(f"{path}: adapter_rank must be >= 1, got {rank}")
 
         def take(*shape: int) -> np.ndarray:
             reserve(8 * int(np.prod(shape)))

@@ -1,4 +1,5 @@
-"""Shared test utilities: a perfect copy model and small corpus builders."""
+"""Shared test utilities: a perfect copy model, a step-counting wrapper and
+small corpus builders."""
 
 import numpy as np
 
@@ -33,6 +34,30 @@ class CopyModel(StepModel):
         hidden = np.zeros(self.dim)
         hidden[0] = float(state)
         return hidden, dist, state + 1
+
+
+class StepCounter(StepModel):
+    """Another model, unchanged, with a count of its `step` calls."""
+
+    def __init__(self, model: StepModel):
+        self.model = model
+        self.steps = 0
+
+    def hidden_dim(self) -> int:
+        return self.model.hidden_dim()
+
+    def vocab_size(self) -> int:
+        return self.model.vocab_size()
+
+    def encode(self, source: Sentence):
+        return self.model.encode(source)
+
+    def initial_state(self):
+        return self.model.initial_state()
+
+    def step(self, context, state, prev_token):
+        self.steps += 1
+        return self.model.step(context, state, prev_token)
 
 
 def make_corpus(rows, lang="xx", domain="general", talk_id=0) -> ParallelCorpus:

@@ -2,6 +2,7 @@
 sources equals beam_decode of each source, bit for bit, whatever the block
 size, store kind, exclusion, ensemble, fusion, beam or length cap."""
 
+from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
@@ -14,10 +15,11 @@ import knnmt.decode
 from knnmt.core import ParallelCorpus, Sentence
 from knnmt.datastore import build, train_ivf
 from knnmt.decode import DecodeConfig, beam_decode, beam_decode_batch, grid_search
+from knnmt.metrics import bleu
 from knnmt.ngram import lm_train
-from knnmt.pipeline import DiversifyConfig, diversify, leave_one_out_eval
+from knnmt.pipeline import DiversifyConfig, LeaveOneOutReport, TalkResult, diversify, leave_one_out_eval
 from knnmt.refmodel import RefModel, TrainConfig, init_params, train
-from helpers import CopyModel, random_corpus
+from helpers import CopyModel, StepCounter, random_corpus
 
 VOCAB = 16
 
@@ -139,3 +141,89 @@ def test_copy_model_block_reproduces_sources():
     got = beam_decode_batch(CopyModel(20), None, sources, DecodeConfig(w=0.0, beam=3))
     assert [tuple(hyp) for hyp, _ in got] == [s.token_ids for s in sources]
     assert all(score == 0.0 for _, score in got)
+
+
+def test_copies_of_a_source_take_one_copys_steps():
+    _, models, stores, _ = setup()
+    source = Sentence((5, 9, 3, 12))
+    cfg = DecodeConfig(k=3, w=0.3, beam=4)
+    for store in (None, stores["exact"][0]):
+        one = StepCounter(models[0])
+        want = beam_decode_batch(one, store, [source], cfg)
+        for n in (2, 5):
+            many = StepCounter(models[0])
+            got = beam_decode_batch(many, store, [source] * n, cfg)
+            assert got == want * n and many.steps == one.steps
+            assert len({id(hyp) for hyp, _ in got}) == n  # a copy per position, not one shared list
+
+
+def test_source_repeated_across_blocks_is_decoded_once():
+    _, models, stores, _ = setup()
+    a, b, c = Sentence((5, 9)), Sentence((7,)), Sentence((4, 4, 11))
+    cfg = DecodeConfig(k=3, w=0.3, beam=2)
+    once = StepCounter(models[0])
+    want = [beam_decode(once, stores["exact"][0], src, cfg) for src in (a, b, c)]
+    counter = StepCounter(models[0])
+    with mock.patch.object(knnmt.decode, "_DECODE_BLOCK", 2):
+        got = beam_decode_batch(counter, stores["exact"][0], [a, b, c, a, b], cfg)
+    assert got == [want[0], want[1], want[2], want[0], want[1]]
+    assert counter.steps == once.steps
+
+
+@pytest.mark.parametrize("kind", ["exact", "ivf"])
+@pytest.mark.parametrize("n_models", [1, 2])
+def test_grid_cells_equal_per_cell_decodes(kind, n_models):
+    """A grid with a repeated T, a w=0 column and a repeated dev source
+    decodes each cell as a decode at that cell's config would, bit for bit."""
+    corpus, models, stores, _ = setup()
+    models, stores = models[:n_models], stores[kind][:n_models]
+    dev = [(p.source, p.target) for p in corpus.pairs[::4]] + [(corpus.pairs[0].source, corpus.pairs[0].target)]
+    sources, refs = [src for src, _ in dev], [list(tgt.token_ids) for _, tgt in dev]
+    base = DecodeConfig(k=3, beam=2, exclude_talk=1)
+    T_grid, w_grid = (10.0, 50.0, 10.0), (0.0, 0.3, 0.7)
+    cells = [replace(base, T=T, w=w) for T in T_grid for w in w_grid]
+    want = [beam_decode_batch(models, stores, sources, cfg) for cfg in cells]
+    with mock.patch.object(knnmt.decode, "_DECODE_BLOCK", 5):
+        got = knnmt.decode._decode_cells(models, stores, sources, cells)
+        result = grid_search(models, stores, dev, T_grid, w_grid, base)
+    assert got == want
+    assert [[np.float64(s).tobytes() for _, s in cell] for cell in got] == [
+        [np.float64(s).tobytes() for _, s in cell] for cell in want
+    ]
+    assert result.rows == tuple((cfg.T, cfg.w, bleu([h for h, _ in hyps], refs).bleu) for cfg, hyps in zip(cells, want))
+
+
+def test_grid_steps_a_row_once_for_all_cells(monkeypatch):
+    # with w = 0 every cell decodes alike, so the grid takes one cell's steps
+    # and no search
+    corpus, models, stores, _ = setup()
+    dev = [(p.source, p.target) for p in corpus.pairs[:10]]
+    one = StepCounter(models[0])
+    beam_decode_batch(one, None, [src for src, _ in dev], DecodeConfig(w=0.0))
+    grid = StepCounter(models[0])
+    monkeypatch.setattr(type(stores["exact"][0]), "search_batch_rows", None)
+    grid_search(grid, stores["exact"][0], dev, T_grid=(10.0, 50.0, 100.0), w_grid=(0.0,))
+    assert grid.steps == one.steps
+
+
+def test_leave_one_out_equals_the_per_talk_two_arm_loop():
+    corpus, models, stores, _ = setup()
+    # talks interleaved, and one source repeated in another talk
+    pairs = corpus.pairs[::2] + corpus.pairs[1::2] + (replace(corpus.pairs[0], talk_id=3),)
+    talkset = ParallelCorpus(pairs)
+    store = build(models[0], talkset)
+    cfg = DecodeConfig(k=4, beam=2)
+    per_talk, hyps_knn, hyps_base, refs = [], [], [], []
+    for talk in talkset.talk_ids():
+        group = [p for p in talkset.pairs if p.talk_id == talk]
+        sources = [p.source for p in group]
+        knn = [h for h, _ in beam_decode_batch(models[0], store, sources, replace(cfg, exclude_talk=talk))]
+        base = [h for h, _ in beam_decode_batch(models[0], None, sources, cfg)]
+        ref = [list(p.target.token_ids) for p in group]
+        per_talk.append(TalkResult(talk, bleu(knn, ref).bleu, bleu(base, ref).bleu))
+        hyps_knn, hyps_base, refs = hyps_knn + knn, hyps_base + base, refs + ref
+    want = LeaveOneOutReport(
+        tuple(per_talk), bleu(hyps_knn, refs).bleu, bleu(hyps_base, refs).bleu,
+        tuple(map(tuple, hyps_knn)), tuple(map(tuple, hyps_base)), tuple(map(tuple, refs)),
+    )
+    assert leave_one_out_eval(models[0], talkset, cfg, [store]) == want

@@ -141,6 +141,17 @@ class TestExitCodes:
         assert "--fusion-alpha requires --lm" in capsys.readouterr().err
         assert not (work / "h.jsonl").exists()
 
+    @pytest.mark.parametrize("alpha", [(), ("--fusion-alpha", "0")])
+    def test_lm_without_fusion_alpha_is_usage_error(self, pipeline, tmp_path, capsys, alpha):
+        # with weight 0 the counts would be loaded and never read
+        root = pipeline[0]
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--lm", str(root / "lm.txt"), "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main([*argv, *alpha]) == 1
+        assert capsys.readouterr().err == "error: --lm requires --fusion-alpha\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_model_dims_are_data_errors(self, work, capsys):
         for flag in ("--embed-dim", "--hidden-dim"):
             code = main(
@@ -903,6 +914,19 @@ class TestOutOfRange:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {corpus}: line 2: talk_id must be in [0, 2**32), got {talk_id}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["talks.tsv"]
+
+    @pytest.mark.parametrize("talk_id", ["1_0", " +7 ", "+7", "\u0663"])
+    @pytest.mark.parametrize("command, flag", [("build-datastore", "--corpus"), ("leave-one-out", "--talkset")])
+    def test_talk_id_not_ascii_digits(self, pipeline, tmp_path, capsys, command, flag, talk_id):
+        root = pipeline[0]
+        corpus = tmp_path / "talks.tsv"
+        corpus.write_text(f"w1 w2\tw3\ttalks\t0\nw2 w3\tw1\ttalks\t{talk_id}\n", encoding="utf-8")
+        argv = [command, "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += [flag, str(corpus), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: line 2: talk_id must be ASCII digits 0-9, got {talk_id!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["talks.tsv"]
 
     def test_negative_exclude_talk(self, pipeline, tmp_path, capsys):

@@ -156,6 +156,14 @@ class TestCorpusIo:
         with pytest.raises(CorpusError, match=rf"c.tsv: line 2: talk_id must be in \[0, 2\*\*32\), got {talk_id}"):
             read_tsv(path)
 
+    @pytest.mark.parametrize("talk_id", ["1_0", " +7 ", "+7", "\u0663"])
+    def test_talk_id_must_be_ascii_digits(self, tmp_path, talk_id):
+        # int() reads each as a number; write_corpus writes only plain digits
+        path = tmp_path / "c.tsv"
+        path.write_text(f"a\tb\tgeneral\t12\na\tb\tgeneral\t{talk_id}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"c.tsv: line 2: talk_id must be ASCII digits 0-9, got "):
+            read_tsv(path)
+
     def test_empty_side_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("\tb\n")

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import knnmt.decode
 from knnmt.core import EOS_ID, BOS_ID, Sentence
 from knnmt.datastore import Datastore, Neighbor, build
 from knnmt.decode import (
@@ -14,6 +16,7 @@ from knnmt.decode import (
     interpolate,
     knn_distribution,
 )
+from knnmt.metrics import bleu
 from knnmt.refmodel import RefModel, TrainConfig, init_params, train
 from helpers import random_corpus
 
@@ -322,13 +325,33 @@ class TestGridSearch:
             grid_search(model, store, dev, T_grid=())
 
     def test_cells_take_k_and_beam_from_base(self, copy_setup, monkeypatch):
+        # every search the grid makes uses the base k, every beam keeps the
+        # base width, and each cell's hypotheses are its own decode's
         model, store, dev = copy_setup
-        seen = []
+        base = DecodeConfig(k=3, beam=2)
+        ks, beams, hyps = [], [], []
+        search, advance = Datastore.search_batch_rows, knnmt.decode._Beam.advance
 
-        def spy(models, stores, sources, cfg):
-            seen.append((cfg.k, cfg.beam, cfg.T, cfg.w))
-            return beam_decode_batch(models, stores, sources, cfg)
+        def spy_search(self, queries, k, exclude_talk=None):
+            ks.append(k)
+            return search(self, queries, k, exclude_talk)
 
-        monkeypatch.setattr("knnmt.decode.beam_decode_batch", spy)
-        grid_search(model, store, dev, T_grid=(10.0, 50.0), w_grid=(0.3,), base=DecodeConfig(k=3, beam=2))
-        assert seen == [(3, 2, 10.0, 0.3), (3, 2, 50.0, 0.3)]
+        def spy_advance(self, scores, states, beam):
+            beams.append(beam)
+            return advance(self, scores, states, beam)
+
+        def spy_bleu(hypotheses, references):
+            hyps.append(hypotheses)
+            return bleu(hypotheses, references)
+
+        monkeypatch.setattr(Datastore, "search_batch_rows", spy_search)
+        monkeypatch.setattr(knnmt.decode._Beam, "advance", spy_advance)
+        monkeypatch.setattr(knnmt.decode, "bleu", spy_bleu)
+        grid_search(model, store, dev, T_grid=(10.0, 50.0), w_grid=(0.3,), base=base)
+        monkeypatch.undo()
+        assert ks and set(ks) == {3}
+        assert beams and set(beams) == {2}
+        sources = [src for src, _ in dev]
+        assert hyps == [
+            [hyp for hyp, _ in beam_decode_batch(model, store, sources, replace(base, T=T, w=0.3))] for T in (10.0, 50.0)
+        ]

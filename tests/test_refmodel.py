@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -441,6 +442,16 @@ class TestCheckpoint:
         blob[20:24] = struct.pack("<I", 0)  # the rank, last of the five header fields
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="adapter_rank must be >= 1, got 0"):
+            load_checkpoint(path)
+
+    def test_rank_zero_refused_before_any_array(self, tmp_path):
+        # the header alone: a rank check after the arrays would report the short file
+        path = tmp_path / "m.rmdl"
+        save_checkpoint(fresh_model(seed=9, rank=3), path)
+        head = bytearray(path.read_bytes()[:24])
+        head[20:24] = struct.pack("<I", 0)
+        path.write_bytes(bytes(head))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: adapter_rank must be >= 1, got 0$"):
             load_checkpoint(path)
 
     def test_load_holds_the_file_once(self, tmp_path):
