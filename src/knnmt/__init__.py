@@ -56,7 +56,6 @@ from .ngram import (
     select_data,
 )
 from .pipeline import (
-    DiversifyConfig,
     FilterConfig,
     LeaveOneOutReport,
     SamplingConfig,

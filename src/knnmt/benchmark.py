@@ -83,7 +83,7 @@ def make_general_corpus(n: int, seed: int, vocab: Vocab) -> ParallelCorpus:
         )
         for _ in range(n)
     ]
-    return ParallelCorpus(tuple(pairs), lang="toy")
+    return ParallelCorpus(tuple(pairs))
 
 
 def term_frame(term_index: int) -> list[tuple[str, str]]:
@@ -115,7 +115,7 @@ def make_talks(n_talks: int, seed: int, vocab: Vocab) -> ParallelCorpus:
             pairs.append(
                 _encode_pair(vocab, words_list[j], domain="talk", talk_id=talk)
             )
-    return ParallelCorpus(tuple(pairs), lang="toy")
+    return ParallelCorpus(tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def _shift_targets(
         )
         for p in corpus.pairs
     ]
-    return ParallelCorpus(tuple(pairs), lang=corpus.lang)
+    return ParallelCorpus(tuple(pairs))
 
 
 def shift_noun_targets(

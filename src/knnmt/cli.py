@@ -47,7 +47,7 @@ from .datastore import build, check_index, load_datastore, load_ivf, save_datast
 from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode_batch, grid_search
 from .metrics import bleu, corpus_wer
 from .ngram import lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
-from .pipeline import DiversifyConfig, diversify, leave_one_out_eval
+from .pipeline import diversify, leave_one_out_eval
 from .refmodel import RefModel, TrainConfig, TrainStats, init_params, load_checkpoint, save_checkpoint, train
 
 
@@ -106,7 +106,7 @@ def _flip(corpus: ParallelCorpus) -> ParallelCorpus:
     flipped = tuple(
         replace(p, source=p.target, target=p.source) for p in corpus.pairs
     )
-    return ParallelCorpus(flipped, lang=corpus.lang)
+    return ParallelCorpus(flipped)
 
 
 def _load_direction(path: str, vocab: Vocab, direction: str) -> ParallelCorpus:
@@ -236,7 +236,7 @@ def _cmd_train(ns) -> tuple[dict, dict | None]:
             model.add_adapter(ns.adapter_tag, seed=ns.seed)
         model.set_active_adapter(ns.adapter_tag)
     stats = TrainStats()
-    losses = train(model, corpus, cfg, "adapters_only" if ns.adapters_only else "all", stats)
+    losses = train(model, corpus, cfg, ns.adapters_only, stats)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}", file=sys.stderr)
     with _replacing(*filter(None, (ns.out, ns.vocab_out))) as tmps:
@@ -327,8 +327,7 @@ def _cmd_diversify(ns) -> tuple[dict, dict | None]:
     vocab = Vocab.load(ns.vocab)
     corpus = load_corpus(ns.corpus, vocab)
     forward, backward = _load_models([ns.forward_model, ns.backward_model], None, vocab)
-    cfg = DiversifyConfig(beam=ns.beam, dedup=not ns.no_dedup)
-    augmented = diversify(corpus, forward, backward, cfg)
+    augmented = diversify(corpus, forward, backward, ns.beam)
     write_corpus(ns.out, augmented, vocab)
     return {"command": "diversify", "original": len(corpus), "total": len(augmented), "out": ns.out}, None
 
@@ -526,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vocab", required=True)
     sp.add_argument("--out", required=True, help="augmented corpus TSV")
     sp.add_argument("--beam", type=int, default=4)
-    sp.add_argument("--no-dedup", action="store_true", help="keep exact duplicates")
 
     sp = command("select-data", _cmd_select_data, "pick pool pairs by n-gram overlap with a seed corpus")
     sp.add_argument("--pool", required=True, help="candidate corpus TSV")

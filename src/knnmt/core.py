@@ -172,10 +172,9 @@ class SentencePair:
 
 @dataclass(frozen=True)
 class ParallelCorpus:
-    """Sentence pairs for one language pair, identified by `lang`."""
+    """Sentence pairs, each with its domain and talk."""
 
     pairs: tuple[SentencePair, ...]
-    lang: str = "xx"
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -616,6 +616,8 @@ def load_datastore(path: str | Path) -> Datastore:
         version, dim, count = struct.unpack("<IIQ", fh.read(16))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported datastore version {version}")
+        if dim < 1:
+            raise ValueError(f"{path}: dim must be >= 1, got {dim}")
         check_file_size(path, size, offset + count * (dim + 2) * 4)
         return Datastore(
             dim=dim,
@@ -665,4 +667,7 @@ def load_ivf(path: str | Path) -> IvfIndex:
             fh.seek(8, os.SEEK_CUR)
             # row indices are below 2**63, so u64 and i64 share their bytes
             lists.append(read_array(fh, "<i8", (length,)).astype(np.int64, copy=False))
-    return IvfIndex(centroids=centroids, lists=lists, nprobe=nprobe)
+    try:
+        return IvfIndex(centroids=centroids, lists=lists, nprobe=nprobe)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

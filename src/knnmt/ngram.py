@@ -54,22 +54,6 @@ class NgramLm:
             hist = (BOS_ID,) * (self.order - 1 - len(hist)) + hist
         return hist
 
-    def prob(self, history: Sequence[int], token: int) -> float:
-        """p(token | history), mixing maximum-likelihood estimates of each
-        order with a uniform floor. Strictly positive."""
-        hist = self._history(history)
-        p = FLOOR / self.vocab_size
-        weight = 1.0 / self.order
-        for j in range(1, self.order + 1):
-            ctx = hist[len(hist) - (j - 1) :]
-            denom = self._ctx.get(ctx, 0)
-            if denom == 0:
-                ml = 1.0 / self.vocab_size
-            else:
-                ml = self.counts.get(ctx + (token,), 0) / denom
-            p += (1.0 - FLOOR) * weight * ml
-        return p
-
     def distribution(self, history: Sequence[int]) -> np.ndarray:
         """Probability vector over the vocabulary for the given history."""
         hist = self._history(history)
@@ -169,7 +153,7 @@ def select_data(
         range(len(pool.pairs)),
         key=lambda i: (-overlap_score(pool.pairs[i].source, seed_sets, max_order), i),
     )
-    return ParallelCorpus(tuple(pool.pairs[i] for i in scored[:top_k]), lang=pool.lang)
+    return ParallelCorpus(tuple(pool.pairs[i] for i in scored[:top_k]))
 
 
 HEADER_PREFIX = "NGRAM-COUNTS v1 order="

@@ -18,21 +18,8 @@ from .metrics import bleu
 from .refmodel import StepModel
 
 
-@dataclass(frozen=True)
-class DiversifyConfig:
-    beam: int = 4
-    dedup: bool = True
-
-    def __post_init__(self) -> None:
-        if self.beam < 1:
-            raise ValueError("beam must be >= 1")
-
-
 def diversify(
-    bitext: ParallelCorpus,
-    forward: StepModel,
-    backward: StepModel,
-    cfg: DiversifyConfig = DiversifyConfig(),
+    bitext: ParallelCorpus, forward: StepModel, backward: StepModel, beam: int = 4
 ) -> ParallelCorpus:
     """Augment a bitext with synthetic pairs that keep one original side.
 
@@ -44,7 +31,7 @@ def diversify(
     """
     if len(bitext) == 0:
         raise ValueError("bitext is empty")
-    decode_cfg = DecodeConfig(w=0.0, beam=cfg.beam)
+    decode_cfg = DecodeConfig(w=0.0, beam=beam)
     forward_hyps = beam_decode_batch(forward, None, [pair.source for pair in bitext.pairs], decode_cfg)
     backward_hyps = beam_decode_batch(backward, None, [pair.target for pair in bitext.pairs], decode_cfg)
     synthetic = [
@@ -52,8 +39,7 @@ def diversify(
     ] + [
         replace(pair, source=Sentence(tuple(hyp))) for pair, (hyp, _) in zip(bitext.pairs, backward_hyps) if hyp
     ]
-    out = list(bitext.pairs) + synthetic
-    return ParallelCorpus(_first_copies(out) if cfg.dedup else tuple(out), lang=bitext.lang)
+    return ParallelCorpus(_first_copies(list(bitext.pairs) + synthetic))
 
 
 def _first_copies(pairs: Sequence[SentencePair]) -> tuple[SentencePair, ...]:
@@ -126,7 +112,7 @@ def filter_corpus(
         if s_len > cfg.max_ratio * t_len or t_len > cfg.max_ratio * s_len:
             continue
         kept.append(pair)
-    return ParallelCorpus(_first_copies(kept), lang=bitext.lang)
+    return ParallelCorpus(_first_copies(kept))
 
 
 def corrupt_case_punct(tokens: Sequence[str]) -> list[str]:
@@ -155,7 +141,7 @@ def upsample(
     if not part:
         raise ValueError("nothing to upsample: no in-domain pairs")
     copies = max(1, math.ceil(fraction * len(rest) / ((1.0 - fraction) * len(part))))
-    return ParallelCorpus(rest + part * copies, lang=corpus.lang)
+    return ParallelCorpus(rest + part * copies)
 
 
 @dataclass(frozen=True)

@@ -337,17 +337,15 @@ def _pair_grads(
     return loss, len(targets), grads
 
 
-def _trainable_arrays(model: RefModel, trainable: str) -> dict[str, np.ndarray]:
-    if trainable == "all":
-        arrays = dict(model.params.arrays())
-        if model.active_adapter is not None:
-            arrays.update(model.adapters[model.active_adapter].arrays())
-        return arrays
-    if trainable == "adapters_only":
-        if model.active_adapter is None:
-            raise ValueError("adapters_only training needs an active adapter")
-        return dict(model.adapters[model.active_adapter].arrays())
-    raise ValueError(f"trainable must be 'all' or 'adapters_only', got {trainable!r}")
+def _trainable_arrays(model: RefModel, adapters_only: bool) -> dict[str, np.ndarray]:
+    """The arrays training updates, in the order the clip norm sums them:
+    the base's unless adapters_only, then the active adapter's."""
+    if adapters_only and model.active_adapter is None:
+        raise ValueError("adapters_only training needs an active adapter")
+    arrays = {} if adapters_only else dict(model.params.arrays())
+    if model.active_adapter is not None:
+        arrays.update(model.adapters[model.active_adapter].arrays())
+    return arrays
 
 
 @dataclass
@@ -375,19 +373,19 @@ def train(
     model: RefModel,
     corpus: ParallelCorpus,
     cfg: TrainConfig,
-    trainable: str = "all",
+    adapters_only: bool = False,
     stats: TrainStats | None = None,
 ) -> list[float]:
     """Minibatch SGD on mean next-token NLL; returns per-epoch mean loss.
 
     The config seed drives only the shuffle order, so a fixed seed makes the
-    whole run bit-reproducible. With trainable='adapters_only' every base
-    array is left bit-identical and its gradient is never computed. A
-    non-finite loss aborts immediately.
+    whole run bit-reproducible. With adapters_only every base array is left
+    bit-identical and its gradient is never computed. A non-finite loss
+    aborts immediately.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
-    arrays = _trainable_arrays(model, trainable)
+    arrays = _trainable_arrays(model, adapters_only)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     losses = []
@@ -454,7 +452,7 @@ def grad_check(
         raise ValueError("epsilon must be in [1e-6, 1e-3]")
     if grads is None:
         _, _, grads = _pair_grads(model, pair.source, pair.target)
-    arrays = _trainable_arrays(model, "all")
+    arrays = _trainable_arrays(model, False)
 
     def loss_of_current() -> float:
         loss, _, _ = _pair_grads(model, pair.source, pair.target)
@@ -531,6 +529,8 @@ def load_checkpoint(path: str | Path) -> RefModel:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if rank < 1:
             raise ValueError(f"{path}: adapter_rank must be >= 1, got {rank}")
+        if d_e < 1 or d < 1:
+            raise ValueError(f"{path}: embed_dim and hidden_dim must be >= 1, got {d_e} and {d}")
 
         def take(*shape: int) -> np.ndarray:
             reserve(8 * int(np.prod(shape)))
@@ -551,6 +551,8 @@ def load_checkpoint(path: str | Path) -> RefModel:
         model = RefModel(params, adapter_rank=rank)
         for _ in range(take_u32()):
             tag = take_bytes(take_u32()).decode("utf-8")
+            if tag in model.adapters:
+                raise ValueError(f"{path}: adapter {tag!r} is listed twice")
             model.adapters[tag] = AdapterParams(W_down=take(rank, d), W_up=take(d, rank))
         check_file_size(path, size, offset)
     return model

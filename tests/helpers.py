@@ -60,7 +60,7 @@ class StepCounter(StepModel):
         return self.model.step(context, state, prev_token)
 
 
-def make_corpus(rows, lang="xx", domain="general", talk_id=0) -> ParallelCorpus:
+def make_corpus(rows, domain="general", talk_id=0) -> ParallelCorpus:
     """rows: list of (source_ids, target_ids) tuples."""
     pairs = tuple(
         SentencePair(
@@ -71,7 +71,7 @@ def make_corpus(rows, lang="xx", domain="general", talk_id=0) -> ParallelCorpus:
         )
         for src, tgt in rows
     )
-    return ParallelCorpus(pairs, lang=lang)
+    return ParallelCorpus(pairs)
 
 
 def random_corpus(

@@ -24,7 +24,7 @@ from knnmt.core import ParallelCorpus
 from knnmt.datastore import Datastore, Neighbor, build, query_exact, query_ivf, train_ivf
 from knnmt.decode import DecodeConfig, beam_decode, grid_search, interpolate, knn_distribution
 from knnmt.metrics import bleu, wer
-from knnmt.pipeline import DiversifyConfig, SamplingConfig, diversify, leave_one_out_eval, sample_languages, sample_weights
+from knnmt.pipeline import SamplingConfig, diversify, leave_one_out_eval, sample_languages, sample_weights
 from knnmt.refmodel import RefModel, TrainConfig, base_param_checksum, grad_check, init_params, train
 from helpers import CopyModel, random_corpus
 
@@ -199,12 +199,11 @@ def test_05_adapter_matches_full_retrain(capsys, bench, base_model):
     fwd = RefModel(init_params(len(vocab), seed=4))
     train(fwd, new_orig, TrainConfig(learning_rate=1.0, epochs=25, seed=0))
     flipped = ParallelCorpus(
-        tuple(replace(p, source=p.target, target=p.source) for p in new_orig.pairs),
-        lang=new_orig.lang,
+        tuple(replace(p, source=p.target, target=p.source) for p in new_orig.pairs)
     )
     bwd = RefModel(init_params(len(vocab), seed=5))
     train(bwd, flipped, TrainConfig(learning_rate=1.0, epochs=25, seed=0))
-    div = diversify(new_orig, fwd, bwd, DiversifyConfig(beam=4))
+    div = diversify(new_orig, fwd, bwd, beam=4)
 
     retrain = RefModel(init_params(len(vocab), seed=3))
     train(retrain, div, TrainConfig(learning_rate=1.0, epochs=50, seed=0))
@@ -215,7 +214,7 @@ def test_05_adapter_matches_full_retrain(capsys, bench, base_model):
     before = base_param_checksum(adapted)
     adapted.add_adapter("newdom", seed=0)
     adapted.set_active_adapter("newdom")
-    train(adapted, div, TrainConfig(learning_rate=0.2, epochs=200, seed=0), trainable="adapters_only")
+    train(adapted, div, TrainConfig(learning_rate=0.2, epochs=200, seed=0), adapters_only=True)
     frozen = base_param_checksum(adapted) == before == base_param_checksum(base_model)
     adapter_bleu = decode_corpus_bleu(adapted, div, eval_cfg)
 
@@ -245,9 +244,7 @@ def test_06_retrieval_lifts_heldout_talks(capsys, bench, base_model):
 
 def test_07_grid_search_prefers_retrieval_on_shifted_domain(capsys, bench):
     corrupted = shift_term_targets(bench.talks, bench.vocab)
-    mixed = ParallelCorpus(
-        bench.general.pairs + corrupted.pairs, lang=bench.general.lang
-    )
+    mixed = ParallelCorpus(bench.general.pairs + corrupted.pairs)
     wrong = RefModel(init_params(len(bench.vocab), seed=3))
     train(wrong, mixed, TrainConfig(learning_rate=1.0, epochs=40, seed=0))
     store = build(wrong, bench.talks)  # datastore carries the true terminology
@@ -278,7 +275,7 @@ def test_08_diversify_contract(capsys):
         if key not in seen:
             seen.add(key)
             uniq.append(p)
-    corpus = ParallelCorpus(tuple(uniq), lang=raw.lang)
+    corpus = ParallelCorpus(tuple(uniq))
     n = len(corpus)
     cm = CopyModel(20)
 
@@ -291,7 +288,7 @@ def test_08_diversify_contract(capsys):
         for p in div.pairs[n:]
     )
 
-    doubled = ParallelCorpus(corpus.pairs + corpus.pairs, lang=corpus.lang)
+    doubled = ParallelCorpus(corpus.pairs + corpus.pairs)
     dedup_out = diversify(doubled, cm, cm)
     keys = [(p.source.token_ids, p.target.token_ids) for p in dedup_out.pairs]
     deduped = len(keys) == len(set(keys)) and dedup_out.pairs[:n] == corpus.pairs

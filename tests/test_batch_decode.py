@@ -17,7 +17,7 @@ from knnmt.datastore import build, train_ivf
 from knnmt.decode import DecodeConfig, beam_decode, beam_decode_batch, grid_search
 from knnmt.metrics import bleu
 from knnmt.ngram import lm_train
-from knnmt.pipeline import DiversifyConfig, LeaveOneOutReport, TalkResult, diversify, leave_one_out_eval
+from knnmt.pipeline import LeaveOneOutReport, TalkResult, diversify, leave_one_out_eval
 from knnmt.refmodel import RefModel, TrainConfig, init_params, train
 from helpers import CopyModel, StepCounter, random_corpus
 
@@ -130,10 +130,10 @@ def test_callers_equal_per_sentence_decoding():
     with mock.patch.object(knnmt.decode, "_DECODE_BLOCK", 1):
         one = grid_search(models[0], stores["exact"][0], dev, T_grid=(10.0,), w_grid=(0.3, 0.6))
         loo_one = leave_one_out_eval(models[0], corpus, DecodeConfig(beam=2), [stores["exact"][0]])
-        div_one = diversify(corpus, models[0], models[1], DiversifyConfig(beam=2))
+        div_one = diversify(corpus, models[0], models[1], beam=2)
     assert grid_search(models[0], stores["exact"][0], dev, T_grid=(10.0,), w_grid=(0.3, 0.6)) == one
     assert leave_one_out_eval(models[0], corpus, DecodeConfig(beam=2), [stores["exact"][0]]) == loo_one
-    assert diversify(corpus, models[0], models[1], DiversifyConfig(beam=2)) == div_one
+    assert diversify(corpus, models[0], models[1], beam=2) == div_one
 
 
 def test_copy_model_block_reproduces_sources():

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -897,6 +898,45 @@ class TestDataErrors:
         argv += ["--corpus", str(root / "talks.tsv"), "--out", str(tmp_path / "h.jsonl")]
         with pytest.raises(TypeError, match="a defect"):
             main(argv)
+
+
+class TestInvalidHeaders:
+    """A header the model or the search cannot work with is a data error
+    naming the file: exit 2 with one `error:` line, and no output file."""
+
+    def run(self, argv, tmp_path, capsys, bad, message):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["build-datastore", "leave-one-out"])
+    def test_zero_model_dims(self, pipeline, tmp_path, capsys, command):
+        # the full layout of a model with embed_dim and hidden_dim 0
+        root = pipeline[0]
+        v = len(Vocab.load(root / "v.txt"))
+        bad = tmp_path / "zero.rmdl"
+        bad.write_bytes(b"RMDL" + struct.pack("<5I", 1, 0, 0, v, 4) + bytes(8 * v) + struct.pack("<I", 0))
+        argv = [command, "--model", str(bad), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus" if command == "build-datastore" else "--talkset", str(root / "talks.tsv")]
+        self.run(argv, tmp_path, capsys, bad, "embed_dim and hidden_dim must be >= 1, got 0 and 0")
+
+    def test_zero_datastore_dim(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        bad = tmp_path / "zero.knnd"
+        bad.write_bytes(b"KNND" + struct.pack("<IIQ", 1, 0, 2) + struct.pack("<4I", 4, 5, 0, 0))
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--datastore", str(bad)]
+        self.run(argv, tmp_path, capsys, bad, "dim must be >= 1, got 0")
+
+    def test_ivf_index_with_nprobe_zero(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        dim = load_datastore(root / "s.knnd").dim
+        bad = tmp_path / "zero.knni"
+        bad.write_bytes(b"KNNI" + struct.pack("<4I", 1, dim, 1, 0) + bytes(4 * dim) + struct.pack("<2Q", 1, 0))
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--datastore", str(root / "s.knnd"), "--ivf-index", str(bad)]
+        self.run(argv, tmp_path, capsys, bad, "nprobe must be in [1, 1], got 0")
 
 
 class TestOutOfRange:

@@ -139,7 +139,7 @@ class TestBuild:
 
     def test_empty_corpus_yields_empty_store(self):
         model = RefModel(init_params(8))
-        ds = build(model, ParallelCorpus((), lang="xx"))
+        ds = build(model, ParallelCorpus(()))
         assert len(ds) == 0
         assert ds.keys.shape == (0, model.hidden_dim()) and ds.keys.dtype == np.float32
         assert ds.values.dtype == ds.talk_ids.dtype == np.uint32
@@ -878,6 +878,32 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ValueError, match="at least 20 bytes, file has 10"):
             load_datastore(path)
+
+    @pytest.mark.parametrize(
+        "n_clusters, nprobe, lists, message",
+        [
+            (1, 0, [[0, 1]], "nprobe must be in [1, 1], got 0"),
+            (0, 1, [], "nprobe must be in [1, 0], got 1"),
+            (2, 1, [[0], [0]], "posting lists must partition the datastore rows"),
+        ],
+    )
+    def test_invalid_ivf_names_its_file(self, tmp_path, n_clusters, nprobe, lists, message):
+        path = tmp_path / "s.knni"
+        blob = b"KNNI" + struct.pack("<4I", 1, 2, n_clusters, nprobe) + bytes(8 * n_clusters)
+        for rows in lists:
+            blob += struct.pack("<Q", len(rows)) + np.asarray(rows, dtype="<u8").tobytes()
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            load_ivf(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_dim_zero_refused_before_any_array(self, tmp_path):
+        # the header alone: a check after the arrays would report the short file
+        path = tmp_path / "s.knnd"
+        path.write_bytes(b"KNND" + struct.pack("<IIQ", 1, 0, 3))
+        with pytest.raises(ValueError) as err:
+            load_datastore(path)
+        assert str(err.value) == f"{path}: dim must be >= 1, got 0"
 
     def test_ivf_cut_inside_the_lists_rejected(self, tmp_path):
         path = tmp_path / "s.knni"

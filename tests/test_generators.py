@@ -8,7 +8,7 @@ from knnmt.ngram import lm_interpolate, lm_train, load_ngram_counts, save_ngram_
 
 
 def corpus_digest(corpus):
-    h = hashlib.sha256(corpus.lang.encode())
+    h = hashlib.sha256(b"toy")
     for p in corpus.pairs:
         h.update(repr((p.source.token_ids, p.target.token_ids, p.domain, p.talk_id)).encode())
     return h.hexdigest()

@@ -25,11 +25,11 @@ class TestLmTrain:
     def test_unigram_mixture_hand_case(self):
         # corpus "a a b" with ids a=4, b=5, vocab 8: p(a) = 0.99*(2/3) + 0.01/8
         lm = lm_train([sent(4, 4, 5)], order=1, vocab_size=8)
-        assert lm.prob((), 4) == pytest.approx(0.99 * (2 / 3) + 0.01 / 8, abs=1e-12)
+        assert lm.distribution(())[4] == pytest.approx(0.99 * (2 / 3) + 0.01 / 8, abs=1e-12)
 
     def test_unseen_token_gets_floor_exactly(self):
         lm = lm_train([sent(4, 4, 5)], order=1, vocab_size=8)
-        assert lm.prob((), 7) == pytest.approx(0.01 / 8, abs=1e-15)
+        assert lm.distribution(())[7] == pytest.approx(0.01 / 8, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(0)
@@ -44,12 +44,6 @@ class TestLmTrain:
                 dist = lm.distribution(hist)
                 assert abs(dist.sum() - 1.0) < 1e-9
                 assert (dist > 0).all()
-
-    def test_prob_agrees_with_distribution(self):
-        lm = lm_train([sent(4, 5, 6, 4, 5)], order=2, vocab_size=10)
-        dist = lm.distribution([4])
-        for tok in range(10):
-            assert lm.prob([4], tok) == pytest.approx(dist[tok], abs=1e-12)
 
     def test_bos_padded_histories_counted(self):
         lm = lm_train([sent(4, 5)], order=2, vocab_size=8)

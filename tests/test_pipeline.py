@@ -8,7 +8,6 @@ import knnmt.pipeline
 from knnmt.core import ParallelCorpus, Sentence, SentencePair, build_vocab
 from knnmt.decode import DecodeConfig, beam_decode, beam_decode_batch
 from knnmt.pipeline import (
-    DiversifyConfig,
     FilterConfig,
     SamplingConfig,
     corrupt_case_punct,
@@ -64,19 +63,12 @@ class TestDiversify:
 
     def test_dedup_removes_exact_duplicates(self):
         base = random_corpus(2, 5, 12, identity=True)
-        doubled = ParallelCorpus(base.pairs + base.pairs, lang="xx")
+        doubled = ParallelCorpus(base.pairs + base.pairs)
         copy = CopyModel(12)
         out = diversify(doubled, copy, copy)
         assert out.pairs == base.pairs
         counts = Counter((p.source.token_ids, p.target.token_ids) for p in out.pairs)
         assert all(c == 1 for c in counts.values())
-
-    def test_dedup_can_be_disabled(self):
-        base = random_corpus(3, 4, 12, identity=True)
-        copy = CopyModel(12)
-        out = diversify(base, copy, copy, DiversifyConfig(dedup=False))
-        # originals + forward round + backward round, all identical pairs
-        assert len(out.pairs) == 3 * len(base.pairs)
 
     def test_each_direction_decoded_once(self, monkeypatch):
         corpus = random_corpus(4, 6, 12)
@@ -88,16 +80,16 @@ class TestDiversify:
             return beam_decode_batch(*args, **kwargs)
 
         monkeypatch.setattr(knnmt.pipeline, "beam_decode_batch", counted)
-        diversify(corpus, copy, copy, DiversifyConfig(dedup=False))
+        diversify(corpus, copy, copy)
         assert len(calls) == 2
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            diversify(ParallelCorpus((), lang="xx"), CopyModel(12), CopyModel(12))
+            diversify(ParallelCorpus(()), CopyModel(12), CopyModel(12))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DiversifyConfig(beam=0)
+        with pytest.raises(ValueError, match="beam must be >= 1"):
+            diversify(random_corpus(3, 4, 12), CopyModel(12), CopyModel(12), beam=0)
 
 
 class TestSampling:
@@ -164,7 +156,7 @@ class TestFilter:
 
     def test_duplicated_corpus_halves(self):
         base = random_corpus(6, 7, 12)
-        doubled = ParallelCorpus(base.pairs + base.pairs, lang="xx")
+        doubled = ParallelCorpus(base.pairs + base.pairs)
         assert filter_corpus(doubled).pairs == base.pairs
 
     def test_idempotent(self):
@@ -220,7 +212,7 @@ class TestCorruptCasePunct:
             )
             for s in cased
         )
-        corpus = ParallelCorpus(pairs, lang="xx")
+        corpus = ParallelCorpus(pairs)
         model = RefModel(init_params(len(vocab.tokens), seed=2))
         train(model, corpus, TrainConfig(learning_rate=1.0, epochs=120, seed=0))
 
@@ -254,7 +246,7 @@ class TestUpsample:
             SentencePair(p.source, p.target, "talks", 1)
             for p in random_corpus(8, 2, 12).pairs
         )
-        corpus = ParallelCorpus(pairs, lang="xx")
+        corpus = ParallelCorpus(pairs)
         out = upsample(corpus, fraction=0.5)
         in_domain = sum(1 for p in out.pairs if p.domain == "talks")
         assert in_domain / len(out.pairs) >= 0.5
@@ -264,7 +256,7 @@ class TestUpsample:
             SentencePair(p.source, p.target, "talks", 1)
             for p in random_corpus(8, 2, 12).pairs
         )
-        corpus = ParallelCorpus(pairs, lang="xx")
+        corpus = ParallelCorpus(pairs)
         out = upsample(corpus, fraction=0.5)
         in_domain = sum(1 for p in out.pairs if p.domain == "talks")
         copies = in_domain // 2
@@ -293,7 +285,7 @@ class TestUpsample:
 def talkset():
     talk0 = random_corpus(13, 5, 12, talk_id=0)
     talk1 = random_corpus(14, 5, 12, talk_id=1)
-    return ParallelCorpus(talk0.pairs + talk1.pairs, lang="xx")
+    return ParallelCorpus(talk0.pairs + talk1.pairs)
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +316,6 @@ class TestLeaveOneOut:
     def test_non_contiguous_talks_rejected(self, model):
         talk0 = random_corpus(16, 3, 12, talk_id=0)
         talk2 = random_corpus(17, 3, 12, talk_id=2)
-        gapped = ParallelCorpus(talk0.pairs + talk2.pairs, lang="xx")
+        gapped = ParallelCorpus(talk0.pairs + talk2.pairs)
         with pytest.raises(ValueError, match="contiguous"):
             leave_one_out_eval(model, gapped, DecodeConfig(w=0.3))

@@ -271,7 +271,7 @@ class TestTrain:
     def test_adapters_only_requires_active_adapter(self):
         corpus = random_corpus(4, 6, VOCAB)
         with pytest.raises(ValueError, match="active adapter"):
-            train(fresh_model(), corpus, TrainConfig(epochs=1), trainable="adapters_only")
+            train(fresh_model(), corpus, TrainConfig(epochs=1), adapters_only=True)
 
     def test_adapters_only_freezes_base(self):
         corpus = random_corpus(5, 10, VOCAB)
@@ -280,7 +280,7 @@ class TestTrain:
         model.set_active_adapter("dom")
         before = base_param_checksum(model)
         w_down_before = model.adapters["dom"].W_down.copy()
-        train(model, corpus, TrainConfig(learning_rate=0.3, epochs=3), trainable="adapters_only")
+        train(model, corpus, TrainConfig(learning_rate=0.3, epochs=3), adapters_only=True)
         assert base_param_checksum(model) == before
         assert not np.array_equal(model.adapters["dom"].W_down, w_down_before)
 
@@ -320,19 +320,15 @@ class TestTrain:
             model.add_adapter("dom", seed=2)
             model.set_active_adapter("dom")
         cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=4, seed=5)
-        train(model, random_corpus(11, 12, VOCAB), cfg, trainable="all" if mode != "adapters_only" else mode)
+        train(model, random_corpus(11, 12, VOCAB), cfg, adapters_only=mode == "adapters_only")
         save_checkpoint(model, tmp_path / "m.rmdl")
         assert hashlib.sha256((tmp_path / "m.rmdl").read_bytes()).hexdigest() == want
-
-    def test_unknown_trainable_mode_rejected(self):
-        with pytest.raises(ValueError):
-            train(fresh_model(), random_corpus(6, 4, VOCAB), TrainConfig(epochs=1), trainable="half")
 
     def test_empty_corpus_rejected(self):
         from knnmt.core import ParallelCorpus
 
         with pytest.raises(ValueError):
-            train(fresh_model(), ParallelCorpus((), lang="xx"), TrainConfig(epochs=1))
+            train(fresh_model(), ParallelCorpus(()), TrainConfig(epochs=1))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -452,6 +448,27 @@ class TestCheckpoint:
         head[20:24] = struct.pack("<I", 0)
         path.write_bytes(bytes(head))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: adapter_rank must be >= 1, got 0$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(0, 0), (0, 4), (4, 0)])
+    def test_zero_dims_refused_before_any_array(self, tmp_path, dims):
+        path = tmp_path / "m.rmdl"
+        path.write_bytes(b"RMDL" + struct.pack("<5I", 1, *dims, VOCAB, 3))
+        want = f"{path}: embed_dim and hidden_dim must be >= 1, got {dims[0]} and {dims[1]}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(want)}$"):
+            load_checkpoint(path)
+
+    def test_adapter_listed_twice_rejected(self, tmp_path):
+        model = fresh_model(seed=9, rank=3)
+        model.add_adapter("a", seed=1)
+        model.add_adapter("b", seed=2)
+        path = tmp_path / "m.rmdl"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        tag_b = struct.pack("<I", 1) + b"b"
+        assert blob.count(tag_b) == 1
+        path.write_bytes(blob.replace(tag_b, struct.pack("<I", 1) + b"a"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: adapter 'a' is listed twice$"):
             load_checkpoint(path)
 
     def test_load_holds_the_file_once(self, tmp_path):
