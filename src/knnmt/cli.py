@@ -15,7 +15,8 @@ holds the output flags given (`_OUTPUT_FLAGS`) with a sha256 checksum of
 each, `inputs` every input flag (`_INPUT_FLAGS`, null when not given),
 `seed` the --seed, and `config` every other flag, so a run can be checked
 for bit-reproducibility. All randomness flows from --seed through numpy's
-default PCG64 generator.
+default PCG64 generator. No JSON written holds NaN or Infinity, which are
+not JSON: a non-finite number in an output is a data error.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _finish(ns, t0: float, stats: dict | None) -> None:
     }
     if stats is not None:
         manifest["stats"] = stats
-    line = json.dumps(manifest, sort_keys=True)
+    line = json.dumps(manifest, sort_keys=True, allow_nan=False)
     print(line, file=sys.stderr)
     if getattr(ns, "manifest", None):
         Path(ns.manifest).write_text(line + "\n", encoding="utf-8")
@@ -292,7 +293,7 @@ def _cmd_decode(ns) -> tuple[dict, dict | None]:
                 "score": score,
                 "config": cfg_snapshot,
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     return {"command": "decode", "segments": len(corpus), "out": ns.out}, None
 
 
@@ -366,7 +367,7 @@ def _cmd_leave_one_out(ns) -> tuple[dict, dict | None]:
     }
     if ns.out:
         Path(ns.out).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8"
         )
     return payload, None
 
@@ -568,6 +569,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         t0 = time.perf_counter()
         payload, stats = ns.func(ns)
+        result = json.dumps(payload, sort_keys=True, allow_nan=False)
         _finish(ns, t0, stats)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -575,7 +577,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload, sort_keys=True))
+    print(result)
     return 0
 
 

@@ -32,6 +32,14 @@ def check_file_size(path: str | Path, actual: int, expected: int, at_least: bool
         raise ValueError(f"{path}: header implies {bound}{expected} bytes, file has {actual}")
 
 
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Refuse an array that holds a NaN or an infinity. Its min and max
+    carry a NaN through and show an infinity, so no temporary of the
+    array's size is made."""
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{what} must be finite")
+
+
 def read_array(fh: BinaryIO, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     """The next array of `shape` in an open binary file, read straight into
     its own memory. Check with check_file_size first that the file holds it."""

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus, check_file_size, read_array
+from .core import BOS_ID, EOS_ID, ParallelCorpus, check_file_size, check_finite, read_array
 from .refmodel import StepModel
 
 DATASTORE_MAGIC = b"KNND"
@@ -126,7 +126,8 @@ def build(model: StepModel, bitext: ParallelCorpus) -> Datastore:
     Pairs step in blocks of _BUILD_BLOCK: at target position t one
     step_batch call serves every pair of the block whose target plus EOS is
     longer than t, and its hidden rows go straight to their entries. Each
-    row's step is the one a pair-by-pair loop makes, so the keys are too."""
+    row's step is the one a pair-by-pair loop makes, so the keys are too.
+    A non-finite hidden state is refused, as load_datastore refuses it."""
     dim = model.hidden_dim()
     pairs = bitext.pairs
     lengths = np.fromiter((len(p.target) + 1 for p in pairs), dtype=np.int64, count=len(pairs))
@@ -152,6 +153,7 @@ def build(model: StepModel, bitext: ParallelCorpus) -> Datastore:
             hidden, _, states = model.step_batch(contexts[:live], states[:live], prevs[:live])
             keys[rows] = hidden
             prevs = values[rows]
+    check_finite(keys, "datastore keys (the model's hidden states)")
     return Datastore(
         dim=dim,
         keys=keys,
@@ -181,13 +183,13 @@ def _select(
     d2: np.ndarray, rows: np.ndarray, take: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, distances) of the smallest `take` distances, ascending, ties
-    broken by row index; `rows` must be ascending."""
+    broken by row index: one partition finds the take-th distance, and a
+    (distance, row) sort orders the candidates within it."""
     if take < len(d2):
         kth = np.partition(d2, take - 1)[take - 1]
         cand = np.flatnonzero(d2 <= kth)
-    else:
-        cand = np.arange(len(d2))
-    picked = cand[np.argsort(d2[cand], kind="stable")[:take]]
+        rows, d2 = rows[cand], d2[cand]
+    picked = np.lexsort((rows, d2))[:take]
     return rows[picked], d2[picked]
 
 
@@ -195,16 +197,18 @@ def _gamma(k: int) -> float:
     """Higham's bound gamma_k on the relative error of k float32 roundings."""
     return k * 2.0**-24 / (1 - k * 2.0**-24)
 
-# Key rows copied or compared at once while grouping, and (query, group)
-# pairs scored at once, so that no full-size temporary of the keys is made.
+# Key rows copied or compared at once while grouping, (query, group) pairs
+# scored at once, and (query, centroid) pairs IVF ranks at once, so that no
+# full-size temporary of the keys is made.
 _CACHE_ROWS = 4096
 
-# Queries times groups that exact search ranks at once. A fixed size, not a
-# flag: the (queries, G) estimates, their sort and the margin pairs stay
-# within a few times this many elements at any batch size. 2**19 lets 5
-# queries share a pass over 1e5 distinct keys, and a whole beam block share
-# one over a few hundred.
-_SEARCH_ELEMS = 1 << 19
+# Queries times groups in one tile of exact search's ranking, and the most
+# margin pairs it keeps between tiles. A fixed size, not a flag: the (B,
+# tile) estimates and their partition stay within 12 bytes an element at
+# any batch size. 2**18 ranks 1e5 distinct keys for 32 queries in 13 tiles
+# of 8,192 groups, about as fast as 2**19 for half the memory, and a whole
+# beam block over a few hundred groups in one.
+_SEARCH_ELEMS = 1 << 18
 
 
 @dataclass
@@ -354,15 +358,14 @@ def query_exact_batch_rows(
     (B, take) arrays, take = min(k, eligible rows), each row ordered like
     query_exact and equal bit for bit to a full scan of the rows.
 
-    It searches the distinct keys U. One matrix product gives each group
-    of byte-equal rows an estimate est of E = |U|^2 - 2 U.q, +inf if no
-    row of the group is eligible. One partition finds each query's
-    min(take, G) smallest estimates, and sorted they reach take eligible
-    rows at some estimate tau: each group with a finite estimate holds an
-    eligible row, and if fewer than take do, they hold them all. One
-    compare over the flat (B, G) estimates keeps the margin set, every
-    group with est <= tau + m_q (so each that reached tau), and scoring it
-    finds the result.
+    It searches the distinct keys U. A matrix product gives each group of
+    byte-equal rows an estimate est of E = |U|^2 - 2 U.q, +inf if no row of
+    the group is eligible. A partition finds each query's min(take, G)
+    smallest estimates, and sorted they reach take eligible rows at some
+    estimate tau: each group with a finite estimate holds an eligible row,
+    and if fewer than take do, they hold them all. A compare over the
+    estimates keeps the margin set, every group with est <= tau + m_q (so
+    each that reached tau), and scoring it finds the result.
 
     The margin is sound. With n = dim, gamma_k = k 2^-24 / (1 - k 2^-24),
     M >= every |U| and d = |U - q|^2 = E + |q|^2, float32 sums in any order
@@ -381,12 +384,24 @@ def query_exact_batch_rows(
     the distance. A group offers its first take eligible rows, and one
     (distance, row) sort picks the result.
 
-    Queries are ranked in blocks of _SEARCH_ELEMS // G, and each margin set
-    is scored as (query, group) pairs, _CACHE_ROWS at a time, so memory
-    stays bounded at any batch size. The block may change an estimate's
-    bits but not past e_q, which covers any summation order, and a
-    scored distance never depends on the batch: a query gets the same rows
-    and distances in any batch."""
+    The groups are ranked in tiles of _SEARCH_ELEMS // B, each tile for all
+    B queries at once, so a call reads the keys once at any batch size.
+    Each query keeps the take smallest estimates seen so far with their
+    groups' eligible counts, and so a running tau: +inf while the tiles seen
+    hold fewer than take eligible rows (its bound then keeps no group
+    without one), else the tau of the groups seen. The argument above asks
+    of tau only that the groups with est <= tau hold take eligible rows,
+    which a running tau's do. A later tile can only lower tau, and tau + m_q
+    grows with tau, so the running bound only falls, and a group past it
+    at any tile is past the final bound too. So each tile keeps its pairs
+    within the running bound and cuts the pairs kept before to it; after
+    the last tile the pairs kept are the final margin set, scored once.
+    With one tile this is the single pass above. Should the pairs kept
+    outgrow _SEARCH_ELEMS (queries that nearly tie with most groups), the
+    call ranks its queries again in blocks that each fit one tile. An
+    estimate's bits may change with the tile but not past e_q, which covers
+    any summation order, and a scored distance never depends on the batch: a
+    query gets the same rows and distances in any batch."""
     Q = _check_queries(ds, queries, k)
     excluded, eligible = _exclusion(ds, exclude_talk)
     take = min(k, eligible)
@@ -394,32 +409,68 @@ def query_exact_batch_rows(
         return np.zeros((len(Q), take), dtype=np.int64), np.zeros((len(Q), take), dtype=np.float32)
     grp = _key_groups(ds)
     groups = _eligible_groups(ds, grp, excluded, exclude_talk)
-    block = max(1, _SEARCH_ELEMS // len(grp.sq))
-    found = [_search_block(ds, grp, groups, Q[lo : lo + block], take) for lo in range(0, len(Q), block)]
-    return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
+    found = _search_tiles(ds, grp, groups, Q, take)
+    if found is None:  # margin pairs past the budget: blocks of one tile each
+        block = max(1, _SEARCH_ELEMS // len(grp.sq))
+        found = [_search_tiles(ds, grp, groups, Q[lo : lo + block], take) for lo in range(0, len(Q), block)]
+        found = tuple(map(np.concatenate, zip(*found)))
+    return found
 
 
-def _search_block(
+def _search_tiles(
     ds: Datastore, grp: _KeyGroups, groups: tuple, Q: np.ndarray, take: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """query_exact_batch_rows for a block of queries that _SEARCH_ELEMS
-    bounds: rank the groups, find each query's margin set, pick."""
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """query_exact_batch_rows over tiles of the groups: rank each tile,
+    update the running tau and bound, keep the pairs within it, pick.
+    None if the pairs kept outgrow _SEARCH_ELEMS for two or more queries."""
     counts, _, _, sq = groups
-    est = Q @ grp.neg2_ut  # (B, G), the one pass over the distinct keys
-    est += sq
-    each = np.arange(len(Q))[:, None]
-    kth = min(take, est.shape[1]) - 1
-    near = np.argpartition(est, kth, axis=1)[:, : kth + 1]
-    near = near[each, est[each, near].argsort(axis=1)]
-    cut = (counts[near].cumsum(axis=1, dtype=np.intp) >= take).argmax(axis=1)
-    tau = est[each[:, 0], near[each[:, 0], cut]]
+    G = len(sq)
+    tile = max(1, _SEARCH_ELEMS // len(Q))
     qq = np.vecdot(Q, Q, dtype=np.float64)
     n, M = ds.dim, grp.max_norm
     e_q = np.sqrt(qq) * (2 * _gamma(n + 1) * M) + (_gamma(n + 1) * M * M + n * 2.0**-147)
     c = 2 * _gamma(n + 2) / (1 - _gamma(n + 2))
-    margin = 1.01 * (2 * e_q + c * np.maximum(tau + e_q + qq, 0))  # m_q, raised
-    bound = np.nextafter(tau + margin, np.inf, dtype=np.float32)
-    qi, gi = np.divmod(np.flatnonzero(est <= bound[:, None]), est.shape[1])
+    each = np.arange(len(Q))[:, None]
+    best_est = best_cnt = kept = kept_est = None
+    for lo in range(0, G, tile):
+        est = Q @ grp.neg2_ut[:, lo : lo + tile]  # (B, tile), the one pass over these keys
+        est += sq[lo : lo + tile]
+        kth = min(take, est.shape[1]) - 1
+        near = np.argpartition(est, kth, axis=1)[:, : kth + 1]
+        near_est, near_cnt = est[each, near], counts[lo : lo + tile][near]
+        del near  # a view of the (B, tile) partition
+        if best_est is not None:  # with the smallest estimates of earlier tiles
+            near_est = np.concatenate((best_est, near_est), axis=1)
+            near_cnt = np.concatenate((best_cnt, near_cnt), axis=1)
+        order = near_est.argsort(axis=1)[:, :take]
+        best_est, best_cnt = near_est[each, order], near_cnt[each, order]
+        reached = best_cnt.cumsum(axis=1, dtype=np.intp) >= take
+        tau = best_est[each[:, 0], reached.argmax(axis=1)]
+        if tile < G:  # +inf until the tiles seen hold take eligible rows
+            tau = np.where(reached[:, -1], tau, np.inf)
+        margin = 1.01 * (2 * e_q + c * np.maximum(tau + e_q + qq, 0))  # m_q, raised
+        bound = np.nextafter(tau + margin, np.inf, dtype=np.float32)
+        within = est <= bound[:, None]
+        if tile >= G:
+            qi, gi = np.divmod(np.flatnonzero(within), G)
+            del within
+            return _pick(ds, grp, Q, groups, qi, gi, take)
+        if not reached[:, -1].all():  # a bound of +inf holds groups with no eligible row
+            within &= counts[lo : lo + tile] > 0
+        hit = np.flatnonzero(within)
+        del within
+        qi, gi = np.divmod(hit, est.shape[1])
+        pairs = qi * G + (gi + lo)  # flat (query, group) indices
+        pair_est = est.ravel()[hit]
+        del est, hit
+        if kept is not None:  # cut the pairs of earlier tiles to the fallen bound
+            within = kept_est <= bound[kept // G]
+            pairs = np.concatenate((kept[within], pairs))
+            pair_est = np.concatenate((kept_est[within], pair_est))
+        if len(pairs) > _SEARCH_ELEMS and len(Q) > 1:
+            return None
+        kept, kept_est = pairs, pair_est
+    qi, gi = np.divmod(np.sort(kept), G)
     return _pick(ds, grp, Q, groups, qi, gi, take)
 
 
@@ -523,9 +574,10 @@ def check_index(ds: Datastore) -> IvfIndex:
     """The store's IVF index, refused unless its lists partition exactly
     the store's rows, its centroids have the store's dim, and each
     non-empty list's centroid holds the bytes of the float32 mean
-    train_ivf takes of the list's keys (bytes, so NaN keys match too).
-    That binds an index to its store's keys; the verdict is kept while the
-    store holds the same keys array and index."""
+    train_ivf takes of the list's keys. That binds an index to its store's
+    keys; the verdict is kept while the store holds the same keys array and
+    index, together with what IVF search scans: the rows in posting-list
+    order, the keys in that order and each list's start in it."""
     idx = ds.index
     if idx is None:
         raise ValueError("datastore has no IVF index; call train_ivf first")
@@ -542,7 +594,9 @@ def check_index(ds: Datastore) -> IvfIndex:
                     f"IVF index does not belong to this datastore: cluster {c}'s "
                     f"centroid is not the mean of its {len(rows)} keys"
                 )
-        ds._bound = (ds.keys, idx)
+        order = np.concatenate(idx.lists)
+        starts = np.cumsum([0] + [len(rows) for rows in idx.lists])
+        ds._bound = (ds.keys, idx, order, ds.keys[order], starts)
     return idx
 
 
@@ -569,8 +623,16 @@ def query_ivf_rows(
     only the nprobe clusters whose centroids are nearest it; within that
     set, ordering and tie rules match exact search, and slots it cannot
     fill hold row -1 and distance +inf. nprobe equal to the cluster count
-    reproduces exact search results."""
+    reproduces exact search results.
+
+    The centroid distances of _CACHE_ROWS // C queries are taken at once,
+    each summed as one query's would be. Each probed list is a slice of the
+    keys held in posting-list order (check_index), scored as a full scan
+    scores its rows, through one buffer the size of the longest list, and
+    mapped back to row indices; a (distance, row) sort of the candidates
+    picks the result, so ties break by row index across lists."""
     idx = check_index(ds)
+    _, _, order, list_keys, starts = ds._bound
     Q = _check_queries(ds, queries, k)
     probes = idx.nprobe if nprobe is None else nprobe
     if probes < 1 or probes > idx.n_clusters:
@@ -579,18 +641,27 @@ def query_ivf_rows(
     take = min(k, eligible)
     rows = np.full((len(Q), take), -1, dtype=np.int64)
     dists = np.full((len(Q), take), np.inf, dtype=np.float32)
-    for b, q in enumerate(Q):
-        cdiff = idx.centroids - q
-        cd2 = np.einsum("ij,ij->i", cdiff, cdiff)
-        nearest = np.argsort(cd2, kind="stable")[:probes]
-        scan = np.sort(np.concatenate([idx.lists[c] for c in nearest]))
-        if excluded is not None:
-            scan = scan[~excluded[scan]]
-        diff = ds.keys[scan]
-        diff -= q
-        got_rows, got_d2 = _select(np.einsum("ij,ij->i", diff, diff), scan, take)
-        rows[b, : len(got_rows)] = got_rows
-        dists[b, : len(got_d2)] = got_d2
+    diff = np.empty((max(len(rows) for rows in idx.lists), ds.dim), dtype=np.float32)
+    step = max(1, _CACHE_ROWS // idx.n_clusters)
+    for lo in range(0, len(Q), step):
+        cdiff = idx.centroids - Q[lo : lo + step, None]
+        cd2 = np.einsum("bij,bij->bi", cdiff, cdiff)
+        for b, nearest in enumerate(np.argsort(cd2, axis=1, kind="stable")[:, :probes], lo):
+            spans = [slice(starts[c], starts[c + 1]) for c in nearest]
+            scan = np.concatenate([order[span] for span in spans])
+            d2 = np.empty(len(scan), dtype=np.float32)
+            at = 0
+            for span in spans:
+                part = diff[: span.stop - span.start]
+                np.subtract(list_keys[span], Q[b], out=part)
+                np.einsum("ij,ij->i", part, part, out=d2[at : at + len(part)])
+                at += len(part)
+            if excluded is not None:
+                keep = ~excluded[scan]
+                scan, d2 = scan[keep], d2[keep]
+            got_rows, got_d2 = _select(d2, scan, take)
+            rows[b, : len(got_rows)] = got_rows
+            dists[b, : len(got_d2)] = got_d2
     return rows, dists
 
 
@@ -619,9 +690,12 @@ def load_datastore(path: str | Path) -> Datastore:
         if dim < 1:
             raise ValueError(f"{path}: dim must be >= 1, got {dim}")
         check_file_size(path, size, offset + count * (dim + 2) * 4)
+        # a NaN key would make every margin bound NaN, and search find nothing
+        keys = read_array(fh, "<f4", (count, dim))
+        check_finite(keys, f"{path}: datastore keys")
         return Datastore(
             dim=dim,
-            keys=read_array(fh, "<f4", (count, dim)),
+            keys=keys,
             values=read_array(fh, "<u4", (count,)),
             talk_ids=read_array(fh, "<u4", (count,)),
         )

@@ -22,7 +22,7 @@ from typing import Any, Collection, Sequence
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair, check_file_size, read_array
+from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair, check_file_size, check_finite, read_array
 
 BASE_PARAM_NAMES = ("E", "W_c", "W_y", "W_h", "b", "U", "b_o")
 CHECKPOINT_MAGIC = b"RMDL"
@@ -534,7 +534,9 @@ def load_checkpoint(path: str | Path) -> RefModel:
 
         def take(*shape: int) -> np.ndarray:
             reserve(8 * int(np.prod(shape)))
-            return read_array(fh, "<f8", shape)
+            arr = read_array(fh, "<f8", shape)
+            check_finite(arr, f"{path}: checkpoint weights")  # else decoding scores NaN
+            return arr
 
         def take_u32() -> int:
             return struct.unpack("<I", take_bytes(4))[0]

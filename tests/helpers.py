@@ -1,5 +1,5 @@
-"""Shared test utilities: a perfect copy model, a step-counting wrapper and
-small corpus builders."""
+"""Shared test utilities: a perfect copy model, a step-counting wrapper,
+small corpus builders and the brute-force search oracle."""
 
 import numpy as np
 
@@ -97,3 +97,18 @@ def random_corpus(
             tgt = [int(x) for x in rng.integers(4, vocab_size, size=m)]
         rows.append((src, tgt))
     return make_corpus(rows, talk_id=talk_id)
+
+
+def scan_rows(ds, Q, k, exclude_talk=None):
+    """Brute force over every row: each query's float32 distance to every
+    eligible row, (distance, row) ascending, the first k, as (B, take)
+    arrays of rows and distances."""
+    rows, dists = [], []
+    for q in Q:
+        diff = ds.keys - q
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        keep = np.flatnonzero(ds.talk_ids != exclude_talk)
+        order = keep[np.lexsort((keep, d2[keep]))][:k]
+        rows.append(order)
+        dists.append(d2[order])
+    return np.array(rows), np.array(dists)

@@ -8,7 +8,8 @@ import pytest
 
 from knnmt.cli import build_parser, main
 from knnmt.core import RESERVED_TOKENS, Vocab, load_corpus
-from knnmt.datastore import load_datastore, save_datastore
+from knnmt.datastore import Datastore, load_datastore, save_datastore
+from knnmt.refmodel import load_checkpoint, save_checkpoint
 
 
 def sha(path):
@@ -937,6 +938,44 @@ class TestInvalidHeaders:
         argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
         argv += ["--corpus", str(root / "talks.tsv"), "--datastore", str(root / "s.knnd"), "--ivf-index", str(bad)]
         self.run(argv, tmp_path, capsys, bad, "nprobe must be in [1, 1], got 0")
+
+
+class TestNonFinite:
+    """A NaN in a loaded key or weight is a data error naming the file: exit
+    2 with one `error:` line, and no output file."""
+
+    def decode(self, root, tmp_path, capsys, model, extra=()):
+        argv = ["decode", "--model", str(model), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), *extra, "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert not (tmp_path / "h.jsonl").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_index", [False, True], ids=["exact", "ivf"])
+    def test_nan_key_is_data_error(self, pipeline, tmp_path, capsys, with_index):
+        # before, every exact search of the store stopped with an IndexError
+        root = pipeline[0]
+        good = load_datastore(root / "s.knnd")
+        keys = good.keys.copy()
+        keys[3, 1] = np.nan
+        bad = tmp_path / "nan.knnd"
+        save_datastore(Datastore(good.dim, keys, good.values, good.talk_ids), bad)
+        extra = ["--datastore", str(bad)]
+        if with_index:
+            extra += ["--ivf-index", str(root / "s.knni")]
+        err = self.decode(root, tmp_path, capsys, root / "m.rmdl", extra)
+        assert err == f"error: {bad}: datastore keys must be finite\n"
+
+    def test_nan_checkpoint_weight_is_data_error(self, pipeline, tmp_path, capsys):
+        # before, it decoded to empty hypotheses scored NaN, and exited 0
+        root = pipeline[0]
+        model = load_checkpoint(root / "m.rmdl")
+        model.params.U[3, 2] = np.nan
+        bad = tmp_path / "nan.rmdl"
+        save_checkpoint(model, bad)
+        err = self.decode(root, tmp_path, capsys, bad)
+        assert err == f"error: {bad}: checkpoint weights must be finite\n"
 
 
 class TestOutOfRange:

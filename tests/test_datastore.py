@@ -8,17 +8,20 @@ import knnmt.datastore
 from knnmt.core import EOS_ID, BOS_ID, ParallelCorpus, Sentence
 from knnmt.datastore import (
     Datastore,
+    IvfIndex,
     build,
     load_datastore,
     load_ivf,
     query_exact,
+    query_exact_batch_rows,
     query_ivf,
+    query_ivf_rows,
     save_datastore,
     save_ivf,
     train_ivf,
 )
 from knnmt.refmodel import RefModel, init_params
-from helpers import CopyModel, make_corpus, random_corpus
+from helpers import CopyModel, make_corpus, random_corpus, scan_rows
 from kmeans_reference import train_ivf as reference_train_ivf
 
 
@@ -113,6 +116,17 @@ class TestBuild:
             tracemalloc.stop()
         assert len(ds) >= 20_000
         assert peak < 1.5 * ds.keys.nbytes
+
+    def test_non_finite_hidden_state_refused(self):
+        class NanModel(CopyModel):
+            def step(self, context, state, prev_token):
+                hidden, dist, state = super().step(context, state, prev_token)
+                hidden[1] = np.nan if state == 3 else 0.0
+                return hidden, dist, state
+
+        corpus = make_corpus([([4, 5], [6]), ([4, 5, 6], [7, 8, 9])])
+        with pytest.raises(ValueError, match="datastore keys .* must be finite"):
+            build(NanModel(12), corpus)
 
     def test_teacher_forcing_records_every_target_token_and_eos(self):
         corpus = make_corpus([([4, 5], [6, 7, 8]), ([5], [9])], talk_id=2)
@@ -251,19 +265,6 @@ def grouped_store(seed, n=300, n_keys=30, dim=4):
     )
 
 
-def scan_rows(ds, Q, k, exclude_talk=None):
-    """Brute force over every row, (distance, row) ascending, as arrays."""
-    rows, dists = [], []
-    for q in Q:
-        diff = ds.keys - q
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        keep = np.flatnonzero(ds.talk_ids != exclude_talk)
-        order = keep[np.lexsort((keep, d2[keep]))][:k]
-        rows.append(order)
-        dists.append(d2[order])
-    return np.array(rows), np.array(dists)
-
-
 def assert_scan_equal(ds, Q, k, exclude_talk=None):
     rows, dists = ds.search_batch_rows(Q, k, exclude_talk)
     want_rows, want_dists = scan_rows(ds, Q, k, exclude_talk)
@@ -392,6 +393,20 @@ def record_margin_widths(monkeypatch):
     return widths
 
 
+def record_pick_batches(monkeypatch):
+    """The list that each later exact search appends the query count of
+    each of its _pick calls to."""
+    batches = []
+    pick = knnmt.datastore._pick
+
+    def counting_pick(ds, grp, Q, groups, qi, gi, take):
+        batches.append(len(Q))
+        return pick(ds, grp, Q, groups, qi, gi, take)
+
+    monkeypatch.setattr(knnmt.datastore, "_pick", counting_pick)
+    return batches
+
+
 class TestSearchBatch:
     def test_wide_margin_memory_does_not_grow_with_the_batch(self, monkeypatch):
         # distinct keys exactly on the radius-10 sphere (four entries of
@@ -445,6 +460,53 @@ class TestSearchBatch:
         Q = np.zeros((1, dim), np.float32)
         assert_scan_equal(ds, Q, 8)
         assert 8 <= widths[0] <= 0.05 * n
+
+    def test_tiles_keep_the_margin_pairs_for_one_pick(self, monkeypatch):
+        # 8 queries rank 2,000 distinct keys in 4 tiles of 500 groups; the
+        # pairs each tile keeps are scored together, in one pick
+        ds = random_store(seed=62, n=2_000)
+        monkeypatch.setattr(knnmt.datastore, "_SEARCH_ELEMS", 8 * 500)
+        batches = record_pick_batches(monkeypatch)
+        Q = np.random.default_rng(63).normal(size=(8, 16)).astype(np.float32)
+        Q[0] = ds.keys[5]
+        for k, talk in ((1, None), (8, 1), (30, 2)):
+            assert_scan_equal(ds, Q, k, talk)
+        assert batches == [8, 8, 8]
+
+    def test_first_tiles_without_an_eligible_row(self, monkeypatch):
+        # the first half of the groups, in key-byte order, belong to the
+        # excluded talk: tau stays +inf through the first five tiles, which
+        # keep no pair, and the search still picks once
+        ds = random_store(seed=64, n=600)
+        grp = knnmt.datastore._key_groups(ds)
+        talk_ids = np.zeros(len(ds), dtype=np.uint32)
+        talk_ids[grp.members[: grp.bounds[300]]] = 1
+        ds.talk_ids = talk_ids
+        monkeypatch.setattr(knnmt.datastore, "_SEARCH_ELEMS", 4 * 60)
+        batches = record_pick_batches(monkeypatch)
+        Q = np.random.default_rng(65).normal(size=(4, 16)).astype(np.float32)
+        for k in (1, 8, 40):
+            assert_scan_equal(ds, Q, k, exclude_talk=1)
+        assert batches == [4, 4, 4]
+
+    def test_tiled_memory_does_not_grow_with_the_batch(self, monkeypatch):
+        # 20,000 distinct random keys: 4 queries rank them in one tile, 64
+        # in 16 tiles of 1,250 groups; the pairs kept between tiles stay few
+        ds = random_store(seed=66, n=20_000)
+        monkeypatch.setattr(knnmt.datastore, "_SEARCH_ELEMS", 4 * 20_000)
+        Q = np.random.default_rng(67).normal(size=(64, 16)).astype(np.float32)
+        ds.search_batch_rows(Q[:1], 8)  # the caches
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                ds.search_batch_rows(Q[:batch], 8)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64) < 1.2 * peak(4)
+        assert_scan_equal(ds, Q, 8)
 
     def test_rows_match_single_queries_bitwise(self):
         ds = random_store(seed=25, dup_rows=3)
@@ -636,6 +698,84 @@ class TestIvf:
         ds.search_batch_rows(keys[:2], 2)
         assert len(calls) == 2 * filled
 
+    def test_full_probe_breaks_ties_by_row_across_lists(self):
+        # copies of 30 keys dealt across 5 hand-made lists in no order, each
+        # centroid the mean train_ivf takes: every list is scanned as a
+        # slice, and ties still break by row index across the lists
+        ds = grouped_store(seed=66)
+        rng = np.random.default_rng(67)
+        lists = np.array_split(rng.permutation(len(ds)), 5)
+        centroids = np.stack([knnmt.datastore._mean_rows(ds.keys, rows) for rows in lists])
+        ds.index = IvfIndex(centroids=centroids.astype(np.float32), lists=lists, nprobe=5)
+        words = ds.keys.view(np.uint32)
+        owner = np.empty(len(ds), dtype=np.intp)
+        for c, rows in enumerate(lists):
+            owner[rows] = c
+        assert any(len(set(owner[(words == w).all(axis=1)])) > 1 for w in words)
+        Q = ds.keys[:6] + rng.normal(scale=0.3, size=(6, 4)).astype(np.float32)
+        Q[0] = 0.0
+        for k, talk in ((1, None), (8, 1), (40, 2), (400, 3)):
+            rows, dists = ds.search_batch_rows(Q, k, talk)
+            want_rows, want_dists = query_exact_batch_rows(ds, Q, k, talk)
+            assert rows.tolist() == want_rows.tolist()
+            assert dists.tobytes() == want_dists.tobytes()
+
+    @staticmethod
+    def assert_probed_scan_equal(ds, Q, k, talk, nprobe):
+        """IVF search equals, for each query alone, a ranking of the
+        centroids by one einsum, then a scan of the probed lists' eligible
+        rows gathered by row, (distance, row) ascending."""
+        rows, dists = query_ivf_rows(ds, Q, k, talk, nprobe)
+        for b, q in enumerate(Q):
+            cdiff = ds.index.centroids - q
+            probed = np.argsort(np.einsum("ij,ij->i", cdiff, cdiff), kind="stable")[:nprobe]
+            scan = np.concatenate([ds.index.lists[c] for c in probed])
+            scan = scan[ds.talk_ids[scan] != talk]
+            diff = ds.keys[scan] - q
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            order = np.lexsort((scan, d2))[:k]
+            filled = rows[b] >= 0
+            assert rows[b][filled].tolist() == scan[order].tolist()
+            assert dists[b][filled].tobytes() == d2[order].tobytes()
+            assert not filled[len(order):].any() and (dists[b][len(order):] == np.inf).all()
+
+    @pytest.mark.parametrize("talk", [None, 0, 1, 2, 3])
+    def test_exclusion_applies_inside_each_probed_slice(self, talk):
+        ds = grouped_store(seed=68)
+        ds.index = train_ivf(ds, n_clusters=6, seed=0, nprobe=2)
+        Q = ds.keys[:5] + np.random.default_rng(69).normal(scale=0.3, size=(5, 4)).astype(np.float32)
+        self.assert_probed_scan_equal(ds, Q, 20, talk, 2)
+
+    def test_centroids_ranked_for_many_queries_as_for_one(self):
+        # 300 queries at the midpoints of two centroids, near ties that a
+        # change of summation would flip, ranked against 100 centroids in
+        # blocks of _CACHE_ROWS // 100 queries: the probes are those a
+        # per-query einsum ranks
+        ds = random_store(seed=71, n=2_000)
+        rng = np.random.default_rng(72)
+        lists = np.array_split(rng.permutation(len(ds)), 100)
+        centroids = np.stack([knnmt.datastore._mean_rows(ds.keys, rows) for rows in lists])
+        ds.index = IvfIndex(centroids=centroids.astype(np.float32), lists=lists, nprobe=1)
+        pairs = rng.integers(0, 100, size=(300, 2))
+        Q = ((ds.index.centroids[pairs[:, 0]] + ds.index.centroids[pairs[:, 1]]) / 2).astype(np.float32)
+        for nprobe in (1, 3):
+            self.assert_probed_scan_equal(ds, Q, 10, 1, nprobe)
+
+    def test_replaced_keys_are_bound_afresh(self):
+        # the list-ordered keys are kept with the verdict, so another keys
+        # array is checked and copied again: refused if the index is not its
+        ds = random_store(seed=70)
+        ds.index = train_ivf(ds, n_clusters=4, seed=0, nprobe=4)
+        keys = ds.keys
+        want = query_exact_batch_rows(ds, keys[:3], 5)
+        ds.search_batch_rows(keys[:3], 5)
+        ds.keys = keys[::-1].copy()
+        with pytest.raises(ValueError, match="does not belong"):
+            ds.search_batch_rows(keys[:3], 5)
+        ds.keys = keys.copy()
+        got = ds.search_batch_rows(keys[:3], 5)
+        assert got[0].tolist() == want[0].tolist() and got[1].tobytes() == want[1].tobytes()
+
     def test_index_records_partitioned_row_count(self, tmp_path):
         ds = random_store(seed=38)
         save_ivf(train_ivf(ds, n_clusters=5, seed=0), tmp_path / "s.knni")
@@ -798,6 +938,16 @@ class TestSerialization:
         assert len(loaded.lists) == len(index.lists)
         for got, want in zip(loaded.lists, index.lists):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_key_refused_naming_the_file(self, tmp_path, bad):
+        ds = random_store(seed=24)
+        keys = ds.keys.copy()
+        keys[17, 5] = bad
+        path = tmp_path / "s.knnd"
+        save_datastore(Datastore(ds.dim, keys, ds.values, ds.talk_ids), path)
+        with pytest.raises(ValueError, match=f"^{path}: datastore keys must be finite$"):
+            load_datastore(path)
 
     def test_round_trip_preserves_query_results(self, tmp_path):
         ds = random_store(seed=22)

@@ -8,12 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import knnmt.datastore
 from knnmt.datastore import Datastore, train_ivf
 from knnmt.decode import knn_distribution, knn_distributions
+from helpers import scan_rows
 from kmeans_reference import train_ivf as reference_train_ivf
 
 VOCAB = 12
@@ -43,26 +44,12 @@ def stores(draw):
     return ds, queries.astype(np.float32), k, exclude
 
 
-def scan(ds, q, k, exclude):
-    """Brute force: float32 distance to every eligible row, ascending,
-    row index breaking ties."""
-    diff = ds.keys - q
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    rows = np.arange(len(ds))
-    if exclude is not None:
-        keep = ds.talk_ids != exclude
-        rows, d2 = rows[keep], d2[keep]
-    order = np.lexsort((rows, d2))[:k]
-    return rows[order], d2[order]
-
-
 @settings(max_examples=150, deadline=None)
 @given(stores())
 def test_exact_rows_equal_brute_force_scan(case):
     ds, Q, k, exclude = case
     rows, dists = ds.search_batch_rows(Q, k, exclude)
-    for b, q in enumerate(Q):
-        want_rows, want_d2 = scan(ds, q, k, exclude)
+    for b, (want_rows, want_d2) in enumerate(zip(*scan_rows(ds, Q, k, exclude))):
         assert rows[b].tolist() == want_rows.tolist()
         assert dists[b].tobytes() == want_d2.tobytes()
 
@@ -113,8 +100,7 @@ def duplicate_stores(draw):
 def test_grouped_search_on_duplicate_keys_equals_brute_force_scan(case):
     ds, Q, k, exclude = case
     rows, dists = ds.search_batch_rows(Q, k, exclude)
-    for b, q in enumerate(Q):
-        want_rows, want_d2 = scan(ds, q, k, exclude)
+    for b, (want_rows, want_d2) in enumerate(zip(*scan_rows(ds, Q, k, exclude))):
         assert rows[b].tolist() == want_rows.tolist()
         assert dists[b].tobytes() == want_d2.tobytes()
 
@@ -165,11 +151,65 @@ def test_stacked_batch_equals_per_row_calls(case, n_queries, seed, sizes):
         rows, dists = knnmt.datastore.query_exact_batch_rows(ds, Q, k, exclude)
         singles = [knnmt.datastore.query_exact_batch_rows(ds, q[None, :], k, exclude) for q in Q]
     assert rows.dtype == np.int64
-    for b, (one_rows, one_dists) in enumerate(singles):
+    for b, ((one_rows, one_dists), want_rows) in enumerate(zip(singles, scan_rows(ds, Q, k, exclude)[0])):
         assert rows[b].tolist() == one_rows[0].tolist()
         assert dists[b].tobytes() == one_dists[0].tobytes()
-        want_rows, want_d2 = scan(ds, Q[b], k, exclude)
         assert rows[b].tolist() == want_rows.tolist()
+
+
+@st.composite
+def tiled_batches(draw):
+    """A batch of 2 to 12 queries over a store of up to 40 distinct keys:
+    many copies of a few integer rows (exact ties), or keys 1e3 from the
+    origin whose norms differ by float32 rounding alone, so that a query at
+    the origin nearly ties with all of them. Talk ids are drawn per key or
+    per row, so excluding a talk can empty whole groups and leave the first
+    tiles with fewer than take eligible rows; k runs past the eligible rows."""
+    n_keys = draw(st.integers(3, 40))
+    n = draw(st.integers(n_keys, 200))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        distinct = rng.integers(-2, 3, size=(n_keys, dim)).astype(np.float32)
+    else:
+        dirs = rng.normal(size=(n_keys, dim))
+        distinct = (1e3 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)).astype(np.float32)
+    of = np.concatenate((np.arange(n_keys), rng.integers(0, n_keys, size=n - n_keys)))
+    rng.shuffle(of)
+    talk_ids = rng.integers(0, 3, size=n_keys)[of] if draw(st.booleans()) else rng.integers(0, 3, size=n)
+    ds = Datastore(
+        dim=dim,
+        keys=distinct[of],
+        values=rng.integers(0, VOCAB, size=n).astype(np.uint32),
+        talk_ids=talk_ids.astype(np.uint32),
+    )
+    n_queries = draw(st.integers(2, 12))
+    queries = distinct[rng.integers(0, n_keys, size=n_queries)]
+    queries = queries + rng.normal(scale=draw(st.sampled_from([0.0, 0.3])), size=queries.shape)
+    queries *= rng.integers(0, 2, size=(n_queries, 1))  # some at the origin
+    exclude = draw(st.one_of(st.none(), st.integers(0, 3)))
+    eligible = n if exclude is None else int((ds.talk_ids != exclude).sum())
+    k = draw(st.integers(1, 4) | st.integers(1, eligible + 3))
+    return ds, queries.astype(np.float32), k, exclude
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiled_batches())
+def test_multi_tile_batch_equals_brute_force_scan_and_single_queries(case):
+    # _SEARCH_ELEMS is set so that the batch ranks the G groups in tiles of
+    # G // 3 groups, at least three of them, while a query alone ranks them
+    # in fewer: rows and distances equal a full scan and the single calls
+    ds, Q, k, exclude = case
+    G = len(knnmt.datastore._key_groups(ds).sq)
+    assume(G >= 3)
+    with mock.patch.object(knnmt.datastore, "_SEARCH_ELEMS", len(Q) * (G // 3)):
+        rows, dists = knnmt.datastore.query_exact_batch_rows(ds, Q, k, exclude)
+        singles = [knnmt.datastore.query_exact_batch_rows(ds, q[None, :], k, exclude) for q in Q]
+    for b, (want_rows, want_d2) in enumerate(zip(*scan_rows(ds, Q, k, exclude))):
+        assert rows[b].tolist() == want_rows.tolist()
+        assert dists[b].tobytes() == want_d2.tobytes()
+        assert rows[b].tolist() == singles[b][0][0].tolist()
+        assert dists[b].tobytes() == singles[b][1][0].tobytes()
 
 
 def rounding_cases(dim, seed):
@@ -264,7 +304,7 @@ def test_near_ties_at_large_norm_equal_brute_force_scan(case):
     ds, q, d, k, exclude = case
     assert d.max() - d.min() <= 4 * np.spacing(np.float32(d.min()))
     rows, dists = ds.search_batch_rows(q[None, :], k, exclude)
-    want_rows, want_d2 = scan(ds, q, k, exclude)
+    (want_rows,), (want_d2,) = scan_rows(ds, q[None, :], k, exclude)
     assert rows[0].tolist() == want_rows.tolist()
     assert dists[0].tobytes() == want_d2.tobytes()
 
