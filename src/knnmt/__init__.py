@@ -44,7 +44,7 @@ from .decode import (
     interpolate,
     knn_distribution,
 )
-from .metrics import BleuReport, bleu, corpus_wer, edit_distance, wer
+from .metrics import BleuReport, bleu, bleu_from_stats, corpus_wer, edit_distance, segment_stats, wer
 from .ngram import (
     NgramLm,
     build_seed_ngrams,

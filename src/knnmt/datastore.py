@@ -217,9 +217,9 @@ class _KeyGroups:
     bytes, in the byte order of the keys, group g holding
     members[bounds[g]:bounds[g + 1]] in ascending row order, first[g] the
     first of them; -2 U^T and |U|^2 of the distinct keys U, and max_norm,
-    a bound on their norms; and `eligible`, the groups' eligible rows for
-    the latest excluded talk. Row indices and counts are int32 unless the
-    store has 2**31 rows or more."""
+    a bound on their norms. Row indices and counts are int32 unless the
+    store has 2**31 rows or more; each excluded talk's eligible rows are
+    kept apart (_eligible)."""
 
     keys: np.ndarray
     members: np.ndarray
@@ -228,7 +228,6 @@ class _KeyGroups:
     neg2_ut: np.ndarray
     sq: np.ndarray
     max_norm: float
-    eligible: tuple | None = None
 
 
 def _key_groups(ds: Datastore) -> _KeyGroups:
@@ -263,37 +262,51 @@ def _key_groups(ds: Datastore) -> _KeyGroups:
     return grp
 
 
-def _exclusion(ds: Datastore, exclude_talk: int | None) -> tuple[np.ndarray | None, int]:
-    """(mask of excluded rows, eligible row count), kept for the latest
-    excluded talk while the store holds the same talk_ids array."""
-    if exclude_talk is None:
-        return None, len(ds)
-    cache = ds.__dict__.get("_excluded")
-    if cache is None or cache[0] != exclude_talk or cache[1] is not ds.talk_ids:
-        excluded = ds.talk_ids == exclude_talk
-        cache = ds._excluded = (exclude_talk, ds.talk_ids, excluded, len(ds) - int(excluded.sum()))
-    return cache[2:]
+@dataclass
+class _Eligible:
+    """What search derives for one excluded talk (None: no talk excluded):
+    the eligible row count and, once exact search has run, the key groups'
+    eligible rows (_eligible_groups)."""
+
+    count: int
+    groups: tuple | None = None
+
+
+def _eligible(ds: Datastore, exclude_talk: int | None) -> _Eligible:
+    """The store's entry for an excluded talk. One cache keyed by talk
+    holds every talk searched, so searches that alternate talks (a
+    leave-one-out step searches once per talk) derive each talk's entry
+    once. It is dropped when the store holds another keys or talk_ids
+    array. An entry holds 4 bytes a row and 12 a key group, twice that for
+    stores of 2**31 rows or more."""
+    cache = ds.__dict__.get("_by_talk")
+    if cache is None or cache[0] is not ds.keys or cache[1] is not ds.talk_ids:
+        cache = ds._by_talk = (ds.keys, ds.talk_ids, {})
+    entry = cache[2].get(exclude_talk)
+    if entry is None:
+        excluded = 0 if exclude_talk is None else int(np.count_nonzero(ds.talk_ids == exclude_talk))
+        entry = cache[2][exclude_talk] = _Eligible(len(ds) - excluded)
+    return entry
 
 
 def _eligible_groups(
-    ds: Datastore, grp: _KeyGroups, excluded: np.ndarray | None, exclude_talk: int | None
+    ds: Datastore, grp: _KeyGroups, entry: _Eligible, exclude_talk: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(counts, starts, members, sq): group g's eligible rows are
-    members[starts[g]:starts[g] + counts[g]], ascending; |U|^2 is +inf for
-    a group with no eligible row."""
-    cache = grp.eligible
-    if cache is None or cache[0] != exclude_talk or cache[1] is not ds.talk_ids:
+    """(counts, starts, members, sq), kept in the talk's entry: group g's
+    eligible rows are members[starts[g]:starts[g] + counts[g]], ascending;
+    |U|^2 is +inf for a group with no eligible row."""
+    if entry.groups is None:
         idx = grp.members.dtype.type
         members, counts = grp.members, np.diff(grp.bounds)
-        if excluded is not None:
-            keep = ~excluded[members]
+        if exclude_talk is not None:
+            keep = ds.talk_ids[members] != exclude_talk
             members = members[keep]
             counts = np.add.reduceat(keep, grp.bounds[:-1], dtype=idx)
         sq = np.where(counts > 0, grp.sq, np.inf)
         starts = np.cumsum(counts, dtype=idx)
         starts -= counts
-        cache = grp.eligible = (exclude_talk, ds.talk_ids, counts, starts, members, sq)
-    return cache[2:]
+        entry.groups = (counts, starts, members, sq)
+    return entry.groups
 
 
 def _pick(
@@ -403,12 +416,12 @@ def query_exact_batch_rows(
     any summation order, and a scored distance never depends on the batch: a
     query gets the same rows and distances in any batch."""
     Q = _check_queries(ds, queries, k)
-    excluded, eligible = _exclusion(ds, exclude_talk)
-    take = min(k, eligible)
+    entry = _eligible(ds, exclude_talk)
+    take = min(k, entry.count)
     if len(Q) == 0 or take == 0:
         return np.zeros((len(Q), take), dtype=np.int64), np.zeros((len(Q), take), dtype=np.float32)
     grp = _key_groups(ds)
-    groups = _eligible_groups(ds, grp, excluded, exclude_talk)
+    groups = _eligible_groups(ds, grp, entry, exclude_talk)
     found = _search_tiles(ds, grp, groups, Q, take)
     if found is None:  # margin pairs past the budget: blocks of one tile each
         block = max(1, _SEARCH_ELEMS // len(grp.sq))
@@ -594,6 +607,9 @@ def check_index(ds: Datastore) -> IvfIndex:
                     f"IVF index does not belong to this datastore: cluster {c}'s "
                     f"centroid is not the mean of its {len(rows)} keys"
                 )
+        # the copy is made after the means: made first, with the means taken
+        # from its slices, it left large-store's peak RSS 19 MB higher in
+        # some benchmark runs and not in others
         order = np.concatenate(idx.lists)
         starts = np.cumsum([0] + [len(rows) for rows in idx.lists])
         ds._bound = (ds.keys, idx, order, ds.keys[order], starts)
@@ -637,8 +653,7 @@ def query_ivf_rows(
     probes = idx.nprobe if nprobe is None else nprobe
     if probes < 1 or probes > idx.n_clusters:
         raise ValueError(f"nprobe must be in [1, {idx.n_clusters}], got {probes}")
-    excluded, eligible = _exclusion(ds, exclude_talk)
-    take = min(k, eligible)
+    take = min(k, _eligible(ds, exclude_talk).count)
     rows = np.full((len(Q), take), -1, dtype=np.int64)
     dists = np.full((len(Q), take), np.inf, dtype=np.float32)
     diff = np.empty((max(len(rows) for rows in idx.lists), ds.dim), dtype=np.float32)
@@ -656,8 +671,8 @@ def query_ivf_rows(
                 np.subtract(list_keys[span], Q[b], out=part)
                 np.einsum("ij,ij->i", part, part, out=d2[at : at + len(part)])
                 at += len(part)
-            if excluded is not None:
-                keep = ~excluded[scan]
+            if exclude_talk is not None:
+                keep = ds.talk_ids[scan] != exclude_talk
                 scan, d2 = scan[keep], d2[keep]
             got_rows, got_d2 = _select(d2, scan, take)
             rows[b, : len(got_rows)] = got_rows

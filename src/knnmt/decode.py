@@ -6,11 +6,14 @@ that model's own output distribution first; the ensemble average is taken
 afterwards. Interpolation weight 0 skips retrieval entirely, so results
 are then byte-identical to decoding without a datastore.
 
-Each distinct source is decoded once per call, in lockstep blocks of
-_DECODE_BLOCK: each step, one search per store and one mixing serve every
-live hypothesis of the block, and each sentence then picks its own
-candidates. A row's search result and distribution do not depend on the
-other rows, so a sentence gets the same bits in any block, alone included.
+One call decodes a list of (source, config) jobs, each distinct pair
+once, in lockstep blocks of _DECODE_BLOCK distinct sources that hold every
+config their jobs ask for: each step, each distinct (source, prefix) row
+steps once per model, one search per store and excluded talk and one mixing
+serve every live hypothesis of the block, and each sentence then picks its
+own candidates. A row's search result and distribution do not depend on
+the other rows, so a sentence gets the same bits in any block, alone
+included.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .core import BOS_ID, EOS_ID, TALK_ID_LIMIT, Sentence
 from .datastore import Datastore, Neighbor
-from .metrics import bleu
+from .metrics import bleu_from_stats, segment_stats
 from .refmodel import StepModel
 
 T_GRID_DEFAULT = (10.0, 50.0, 100.0)
@@ -143,8 +146,8 @@ _DECODE_BLOCK = 8
 
 @dataclass
 class _Beam:
-    """One sentence's search at one grid cell: the sentence's slot in its
-    block, the cell, its contexts (one per model), length cap, and live and
+    """One sentence's search at one cell: the sentence's slot in its block,
+    the cell, its contexts (one per model), length cap, and live and
     completed hypotheses."""
 
     src: int
@@ -186,36 +189,37 @@ def _mix_knn(
     p: np.ndarray, store: Datastore, hidden: list, rows: list, row_of: list[int], cells: list[DecodeConfig]
 ) -> None:
     """Mix retrieval into the (rows, V) model distributions `p`, in place,
-    for the rows of the cells with w > 0: one search over their distinct
-    rows (row r's query is hidden[row_of[r]]), knn_distributions once per T
-    over its distinct rows, and interpolate once per cell. A row whose
-    search found nothing keeps its model distribution."""
-    spans, hi = [], 0  # (config, first row, end row) of each cell with w > 0
+    for the rows of the cells with w > 0: per excluded talk, one search over
+    the distinct rows of its cells (row r's query is hidden[row_of[r]]),
+    knn_distributions once per T over those distinct rows, and interpolate
+    once per cell. A row whose search found nothing keeps its model
+    distribution."""
+    by_talk: dict = {}  # excluded talk -> (config, first row, end row) of its cells with w > 0
+    hi = 0
     for cell, run in itertools.groupby(b.cell for b, _ in rows):
         lo, hi = hi, hi + len(list(run))
         if cells[cell].w > 0.0:
-            spans.append((cells[cell], lo, hi))
-    searched = list(dict.fromkeys(s for _, lo, hi in spans for s in row_of[lo:hi]))
-    if not searched:
-        return
-    at = dict(zip(searched, range(len(searched))))  # distinct row -> its row of the search
-    queries = np.array([hidden[s] for s in searched])
-    found_rows, dists = store.search_batch_rows(queries, cells[0].k, exclude_talk=cells[0].exclude_talk)
-    found = np.logical_or.reduce(found_rows >= 0, axis=1).tolist()
-    for T in dict.fromkeys(cfg.T for cfg, _, _ in spans):
-        knn: dict = {}  # search row -> its row of p_knn
-        mixes = []
-        for cfg, lo, hi in spans:
-            if cfg.T == T:
-                hits = [r for r in range(lo, hi) if found[at[row_of[r]]]]
-                mixes.append((cfg.w, hits, [knn.setdefault(at[row_of[r]], len(knn)) for r in hits]))
-        if knn:
-            take = _run(list(knn))
-            p_knn = knn_distributions(store.values[found_rows[take]], dists[take], T, p.shape[1])
-            for w, hits, knn_rows in mixes:
-                if hits:
-                    hits = _run(hits)
-                    p[hits] = interpolate(p[hits], p_knn[_run(knn_rows)], w)
+            by_talk.setdefault(cells[cell].exclude_talk, []).append((cells[cell], lo, hi))
+    for talk, spans in by_talk.items():
+        searched = list(dict.fromkeys(s for _, lo, hi in spans for s in row_of[lo:hi]))
+        at = dict(zip(searched, range(len(searched))))  # distinct row -> its row of the search
+        queries = np.array([hidden[s] for s in searched])
+        found_rows, dists = store.search_batch_rows(queries, cells[0].k, exclude_talk=talk)
+        found = np.logical_or.reduce(found_rows >= 0, axis=1).tolist()
+        for T in dict.fromkeys(cfg.T for cfg, _, _ in spans):
+            knn: dict = {}  # search row -> its row of p_knn
+            mixes = []
+            for cfg, lo, hi in spans:
+                if cfg.T == T:
+                    hits = [r for r in range(lo, hi) if found[at[row_of[r]]]]
+                    mixes.append((cfg.w, hits, [knn.setdefault(at[row_of[r]], len(knn)) for r in hits]))
+            if knn:
+                take = _run(list(knn))
+                p_knn = knn_distributions(store.values[found_rows[take]], dists[take], T, p.shape[1])
+                for w, hits, knn_rows in mixes:
+                    if hits:
+                        hits = _run(hits)
+                        p[hits] = interpolate(p[hits], p_knn[_run(knn_rows)], w)
 
 
 def _advance_all(
@@ -308,30 +312,44 @@ def beam_decode_batch(
     sentences. Each row's search result and distribution are the same in
     any batch, so the block changes how many calls are made, not what any
     sentence gets."""
-    return _decode_cells(models, datastores, sources, [cfg], lm)[0]
+    return _decode_cells(models, datastores, [(source, cfg) for source in sources], lm)
 
 
 def _decode_cells(
-    models, datastores, sources: Sequence[Sentence], cells: list[DecodeConfig], lm: LmFunc | None = None
-) -> list[list[tuple[list[int], float]]]:
-    """beam_decode_batch of the sources at each of `cells`, configs that
-    differ only in T and w: one result list per cell. All cells of a block
-    of distinct sources step in one lockstep pass."""
+    models, datastores, jobs: Sequence[tuple[Sentence, DecodeConfig]], lm: LmFunc | None = None
+) -> list[tuple[list[int], float]]:
+    """beam_decode of each (source, config) job, in order: one result per
+    job. The distinct configs, the cells, may differ in T, w and
+    exclude_talk, not in k, beam, max_len or fusion_alpha. Each distinct
+    (source, cell) is decoded once and its result copied to every job that
+    holds it. A block of distinct sources steps every cell its jobs ask for
+    in one lockstep pass, so a (source, prefix) row that several cells hold
+    steps once per model, and each store searches once per excluded talk."""
     model_list, store_list = _model_stores(models, datastores)
-    if any(not source.token_ids for source in sources):
+    if any(not source.token_ids for source, _ in jobs):
         raise ValueError("cannot decode an empty source")
+    if not jobs:
+        return []
+    cells = list(dict.fromkeys(cfg for _, cfg in jobs))
     base = cells[0]
-    distinct = list({source.token_ids: source for source in sources}.values())
+    if len({(cfg.k, cfg.beam, cfg.max_len, cfg.fusion_alpha) for cfg in cells}) > 1:
+        raise ValueError("decode configs of one call may differ in T, w and exclude_talk only")
+    cell_of = {cfg: i for i, cfg in enumerate(cells)}
+    held: dict = {}  # source tokens -> (source, the cells its jobs ask for)
+    for source, cfg in jobs:
+        held.setdefault(source.token_ids, (source, set()))[1].add(cell_of[cfg])
+    distinct = list(held.values())
     best = {}
     for lo in range(0, len(distinct), _DECODE_BLOCK):
         block = distinct[lo : lo + _DECODE_BLOCK]
-        contexts = [[m.encode(source) for m in model_list] for source in block]
+        contexts = [[m.encode(source) for m in model_list] for source, _ in block]
         beams = [
             _Beam(src=i, cell=cell, contexts=contexts[i],
                   max_len=base.max_len if base.max_len is not None else 2 * len(source) + 8,
                   live=[_Hyp((), 0.0, 0, tuple(m.initial_state() for m in model_list))], completed=[])
             for cell in range(len(cells))
-            for i, source in enumerate(block)
+            for i, (source, wanted) in enumerate(block)
+            if cell in wanted
         ]
         step = 0
         while active := [b for b in beams if b.live and step < b.max_len]:
@@ -347,9 +365,8 @@ def _decode_cells(
                 b.advance(scores[at : at + n], states[at : at + n], base.beam)
                 at += n
             step += 1
-        best.update(((b.cell, block[b.src].token_ids), b.best()) for b in beams)
-    return [[(list(hyp), score) for hyp, score in (best[cell, s.token_ids] for s in sources)]
-            for cell in range(len(cells))]
+        best.update(((b.cell, block[b.src][0].token_ids), b.best()) for b in beams)
+    return [(list(hyp), score) for hyp, score in (best[cell_of[cfg], s.token_ids] for s, cfg in jobs)]
 
 
 @dataclass(frozen=True)
@@ -370,16 +387,18 @@ def grid_search(
 ) -> GridSearchResult:
     """Decode the dev pairs at every (T, w), the other fields from `base`,
     all cells in one lockstep pass, and score corpus BLEU against the
-    references. Rows come back in grid order (T major). Best cell is the
-    highest BLEU; exact ties prefer smaller w, then smaller T."""
+    references, each counted once. Rows come back in grid order (T major).
+    Best cell is the highest BLEU; exact ties prefer smaller w, then
+    smaller T."""
     if not dev:
         raise ValueError("dev set is empty")
     if not T_grid or not w_grid:
         raise ValueError("grids must be non-empty")
     cells = [replace(base, T=float(T), w=float(w)) for T in T_grid for w in w_grid]
-    refs = [list(tgt.token_ids) for _, tgt in dev]
-    decoded = _decode_cells(models, datastores, [src for src, _ in dev], cells)
-    rows = [(cfg.T, cfg.w, bleu([hyp for hyp, _ in hyps], refs).bleu) for cfg, hyps in zip(cells, decoded)]
+    decoded = [hyp for hyp, _ in _decode_cells(models, datastores, [(src, cfg) for cfg in cells for src, _ in dev])]
+    hyp_lists = [decoded[lo : lo + len(dev)] for lo in range(0, len(decoded), len(dev))]
+    stats = segment_stats(hyp_lists, [tgt.token_ids for _, tgt in dev])
+    rows = [(cfg.T, cfg.w, bleu_from_stats(cell).bleu) for cfg, cell in zip(cells, stats)]
     best = min(rows, key=lambda r: (-r[2], r[1], r[0]))
     return GridSearchResult(
         rows=tuple(rows), best_T=best[0], best_w=best[1], best_bleu=best[2]

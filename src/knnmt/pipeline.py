@@ -13,8 +13,8 @@ import numpy as np
 
 from .core import ParallelCorpus, Sentence, SentencePair, is_punctuation
 from .datastore import Datastore, build
-from .decode import DecodeConfig, beam_decode_batch
-from .metrics import bleu
+from .decode import DecodeConfig, _decode_cells, beam_decode_batch
+from .metrics import bleu_from_stats, segment_stats
 from .refmodel import StepModel
 
 
@@ -176,13 +176,21 @@ def leave_one_out_eval(
     datastores: Sequence[Datastore] | None = None,
 ) -> LeaveOneOutReport:
     """Decode each talk retrieving only from the other talks, and the whole
-    talk set once with retrieval off, and score both per talk against the
+    talk set with retrieval off, and score both per talk against the
     references.
 
     One datastore over the whole talk set is built per model (or passed
     in); held-out entries are excluded per query rather than by building a
     datastore per talk. Talk ids must form a contiguous range and there
     must be at least two talks.
+
+    Both arms are one decode call: one w = 0 config over every pair for the
+    baseline (w = 0 decodes as plain beam search, bit for bit), and per
+    talk one config excluding that talk over its pairs. So a source that
+    several talks hold steps each of its prefixes once per model, and each
+    store searches once a step per talk. Each reference's and hypothesis's
+    n-grams are counted once; every score sums the integer statistics of
+    its segments.
     """
     model_list = [models] if isinstance(models, StepModel) else list(models)
     talks = talkset.talk_ids()
@@ -195,24 +203,22 @@ def leave_one_out_eval(
 
     by_talk = [[p for p in talkset.pairs if p.talk_id == talk] for talk in talks]
     pairs = [p for group in by_talk for p in group]
-    # the baseline arm retrieves nothing, so one call decodes every talk
-    all_base = [h for h, _ in beam_decode_batch(model_list, None, [p.source for p in pairs], cfg)]
-    all_refs = [list(p.target.token_ids) for p in pairs]
-    per_talk = []
-    all_knn: list[list[int]] = []
+    baseline, held_out = replace(cfg, w=0.0), {talk: replace(cfg, exclude_talk=talk) for talk in talks}
+    jobs = [(p.source, baseline) for p in pairs] + [(p.source, held_out[p.talk_id]) for p in pairs]
+    decoded = [hyp for hyp, _ in _decode_cells(model_list, datastores, jobs)]
+    all_base, all_knn = decoded[: len(pairs)], decoded[len(pairs) :]
+    all_refs = [p.target.token_ids for p in pairs]
+    stats_knn, stats_base = segment_stats([all_knn, all_base], all_refs)
+    per_talk, lo = [], 0
     for talk, group in zip(talks, by_talk):
-        sources, knn_cfg = [p.source for p in group], replace(cfg, exclude_talk=talk)
-        hyps_knn = [h for h, _ in beam_decode_batch(model_list, datastores, sources, knn_cfg)]
-        span = slice(len(all_knn), len(all_knn) + len(group))
-        refs = all_refs[span]
-        per_talk.append(TalkResult(talk, bleu(hyps_knn, refs).bleu, bleu(all_base[span], refs).bleu))
-        all_knn.extend(hyps_knn)
+        span, lo = slice(lo, lo + len(group)), lo + len(group)
+        per_talk.append(TalkResult(talk, bleu_from_stats(stats_knn[span]).bleu, bleu_from_stats(stats_base[span]).bleu))
 
     return LeaveOneOutReport(
         per_talk=tuple(per_talk),
-        aggregate_retrieval=bleu(all_knn, all_refs).bleu,
-        aggregate_baseline=bleu(all_base, all_refs).bleu,
+        aggregate_retrieval=bleu_from_stats(stats_knn).bleu,
+        aggregate_baseline=bleu_from_stats(stats_base).bleu,
         hyps_retrieval=tuple(tuple(h) for h in all_knn),
         hyps_baseline=tuple(tuple(h) for h in all_base),
-        refs=tuple(tuple(r) for r in all_refs),
+        refs=tuple(all_refs),
     )

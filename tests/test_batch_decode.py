@@ -184,7 +184,8 @@ def test_grid_cells_equal_per_cell_decodes(kind, n_models):
     cells = [replace(base, T=T, w=w) for T in T_grid for w in w_grid]
     want = [beam_decode_batch(models, stores, sources, cfg) for cfg in cells]
     with mock.patch.object(knnmt.decode, "_DECODE_BLOCK", 5):
-        got = knnmt.decode._decode_cells(models, stores, sources, cells)
+        got = knnmt.decode._decode_cells(models, stores, [(src, cfg) for cfg in cells for src in sources])
+        got = [got[lo : lo + len(sources)] for lo in range(0, len(got), len(sources))]
         result = grid_search(models, stores, dev, T_grid, w_grid, base)
     assert got == want
     assert [[np.float64(s).tobytes() for _, s in cell] for cell in got] == [
@@ -206,19 +207,59 @@ def test_grid_steps_a_row_once_for_all_cells(monkeypatch):
     assert grid.steps == one.steps
 
 
-def test_leave_one_out_equals_the_per_talk_two_arm_loop():
-    corpus, models, stores, _ = setup()
-    # talks interleaved, and one source repeated in another talk
-    pairs = corpus.pairs[::2] + corpus.pairs[1::2] + (replace(corpus.pairs[0], talk_id=3),)
-    talkset = ParallelCorpus(pairs)
+@pytest.mark.parametrize("field, value", [("k", 5), ("beam", 3), ("max_len", 4), ("fusion_alpha", 0.5)])
+def test_cells_that_differ_beyond_T_w_and_talk_refused(field, value):
+    _, models, stores, lm = setup()
+    source, base = Sentence((5, 9)), DecodeConfig(k=3, beam=2)
+    other = replace(base, T=10.0, w=0.7, exclude_talk=1)
+    assert len(knnmt.decode._decode_cells(models[0], stores["exact"][0], [(source, base), (source, other)], lm)) == 2
+    with pytest.raises(ValueError, match="differ in T, w and exclude_talk only"):
+        knnmt.decode._decode_cells(
+            models[0], stores["exact"][0], [(source, base), (source, replace(other, **{field: value}))], lm
+        )
+
+
+def test_leave_one_out_steps_a_row_once_for_all_talks(monkeypatch):
+    # with w = 0 the baseline and every talk's cell decode alike, so a
+    # source that every talk holds takes one plain decode's steps and no
+    # search
+    corpus, models, _, _ = setup()
+    talkset = ParallelCorpus(corpus.pairs[::3] + tuple(replace(corpus.pairs[0], talk_id=t) for t in (1, 2, 3)))
     store = build(models[0], talkset)
-    cfg = DecodeConfig(k=4, beam=2)
+    one = StepCounter(models[0])
+    beam_decode_batch(one, None, [p.source for p in talkset.pairs], DecodeConfig(w=0.0))
+    loo = StepCounter(models[0])
+    monkeypatch.setattr(type(store), "search_batch_rows", None)
+    report = leave_one_out_eval(loo, talkset, DecodeConfig(w=0.0), [store])
+    assert loo.steps == one.steps
+    assert report.hyps_retrieval == report.hyps_baseline
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["exact", "ivf"]),
+    n_models=st.sampled_from([1, 2]),
+    block=st.sampled_from([1, 3, 8]),
+    picks=st.lists(st.integers(0, 47), max_size=10),
+    repeats=st.lists(st.tuples(st.integers(0, 47), st.integers(0, 3)), max_size=4),
+    cfg=st.sampled_from([
+        DecodeConfig(k=4, beam=2), DecodeConfig(k=1, T=10.0, w=0.7, beam=1), DecodeConfig(k=8, w=1.0, beam=2, max_len=3)
+    ]),
+)
+def test_leave_one_out_equals_the_per_talk_two_arm_loop(kind, n_models, block, picks, repeats, cfg):
+    corpus, models, stores, _ = setup()
+    models, stores = models[:n_models], stores[kind][:n_models]
+    # one pair of each talk, then picked pairs of any talk, interleaved, and
+    # sources repeated in other talks
+    pairs = corpus.pairs[::12] + tuple(corpus.pairs[i] for i in picks)
+    pairs += tuple(replace(corpus.pairs[i], talk_id=talk) for i, talk in repeats)
+    talkset = ParallelCorpus(pairs)
     per_talk, hyps_knn, hyps_base, refs = [], [], [], []
     for talk in talkset.talk_ids():
         group = [p for p in talkset.pairs if p.talk_id == talk]
         sources = [p.source for p in group]
-        knn = [h for h, _ in beam_decode_batch(models[0], store, sources, replace(cfg, exclude_talk=talk))]
-        base = [h for h, _ in beam_decode_batch(models[0], None, sources, cfg)]
+        knn = [h for h, _ in beam_decode_batch(models, stores, sources, replace(cfg, exclude_talk=talk))]
+        base = [h for h, _ in beam_decode_batch(models, None, sources, cfg)]
         ref = [list(p.target.token_ids) for p in group]
         per_talk.append(TalkResult(talk, bleu(knn, ref).bleu, bleu(base, ref).bleu))
         hyps_knn, hyps_base, refs = hyps_knn + knn, hyps_base + base, refs + ref
@@ -226,4 +267,10 @@ def test_leave_one_out_equals_the_per_talk_two_arm_loop():
         tuple(per_talk), bleu(hyps_knn, refs).bleu, bleu(hyps_base, refs).bleu,
         tuple(map(tuple, hyps_knn)), tuple(map(tuple, hyps_base)), tuple(map(tuple, refs)),
     )
-    assert leave_one_out_eval(models[0], talkset, cfg, [store]) == want
+    with mock.patch.object(knnmt.decode, "_DECODE_BLOCK", block):
+        got = leave_one_out_eval(models, talkset, cfg, stores)
+    assert got == want
+    scores = lambda r: [r.aggregate_retrieval, r.aggregate_baseline] + [
+        s for t in r.per_talk for s in (t.bleu_retrieval, t.bleu_baseline)
+    ]
+    assert np.array(scores(got)).tobytes() == np.array(scores(want)).tobytes()

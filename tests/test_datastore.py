@@ -350,10 +350,10 @@ class TestKeyGroups:
         )
         Q = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.float32)
         assert_scan_equal(ds, Q, 1, 1)
-        cache = ds._groups.eligible
+        cache = knnmt.datastore._eligible(ds, 1).groups
         for k in (40, 1_499, 1_500, 3_000):
             assert_scan_equal(ds, Q, k, 1)
-        assert ds._groups.eligible is cache
+        assert knnmt.datastore._eligible(ds, 1).groups is cache
         assert max(a.size for a in cache if isinstance(a, np.ndarray)) <= len(ds) + 1
 
     def test_talk_ids_cannot_be_written_in_place(self):
@@ -874,6 +874,20 @@ class TestChunkedKmeans:
             rows = np.sort(rng.choice(500, size=size, replace=False))
             want = keys[rows].astype(np.float64).mean(axis=0)
             assert knnmt.datastore._mean_rows(keys, rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_lists_longer_than_a_chunk_bind_their_store(self, monkeypatch, dim):
+        monkeypatch.setattr(knnmt.datastore, "_KMEANS_CHUNK", 8)
+        ds = random_store(seed=48, n=203, dim=dim)
+        ds.index = train_ivf(ds, 2, 4, 0)
+        assert min(len(rows) for rows in ds.index.lists) > 8
+        assert knnmt.datastore.check_index(ds) is ds.index
+        other = Datastore(dim, ds.keys.copy(), ds.values, ds.talk_ids)
+        bad = ds.index.centroids.copy()
+        bad[1] = np.nextafter(bad[1], np.inf)
+        other.index = IvfIndex(bad, ds.index.lists)
+        with pytest.raises(ValueError, match="cluster 1's centroid"):
+            knnmt.datastore.check_index(other)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 40])
     def test_row_blocks_cover_rows_in_full_chunks(self, monkeypatch, n):

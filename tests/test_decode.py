@@ -16,7 +16,7 @@ from knnmt.decode import (
     interpolate,
     knn_distribution,
 )
-from knnmt.metrics import bleu
+from knnmt.metrics import segment_stats
 from knnmt.refmodel import RefModel, TrainConfig, init_params, train
 from helpers import random_corpus
 
@@ -340,13 +340,13 @@ class TestGridSearch:
             beams.append(beam)
             return advance(self, scores, states, beam)
 
-        def spy_bleu(hypotheses, references):
-            hyps.append(hypotheses)
-            return bleu(hypotheses, references)
+        def spy_stats(hyp_lists, references):
+            hyps.extend(hyp_lists)
+            return segment_stats(hyp_lists, references)
 
         monkeypatch.setattr(Datastore, "search_batch_rows", spy_search)
         monkeypatch.setattr(knnmt.decode._Beam, "advance", spy_advance)
-        monkeypatch.setattr(knnmt.decode, "bleu", spy_bleu)
+        monkeypatch.setattr(knnmt.decode, "segment_stats", spy_stats)
         grid_search(model, store, dev, T_grid=(10.0, 50.0), w_grid=(0.3,), base=base)
         monkeypatch.undo()
         assert ks and set(ks) == {3}

@@ -3,8 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knnmt.metrics import bleu, corpus_wer, edit_distance, wer
+from knnmt.metrics import bleu, bleu_from_stats, corpus_wer, edit_distance, segment_stats, wer
 
 
 def oracle_bleu(hyps, refs):
@@ -96,6 +98,32 @@ class TestBleu:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             bleu([], [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(*[st.lists(st.integers(0, 4), max_size=9)] * 3), min_size=1, max_size=8
+        ),
+        data=st.data(),
+    )
+    def test_summed_segment_stats_give_bleu_of_any_subset(self, segments, data):
+        # two hypothesis lists scored against the references in one call;
+        # any subset of segments, in any order, sums to bleu of that subset
+        first, second, refs = (list(side) for side in zip(*segments))
+        second[0] = first[0]  # one hypothesis shared by both lists
+        stats = segment_stats([first, second], refs)
+        subset = data.draw(st.lists(st.sampled_from(range(len(refs))), min_size=1, max_size=8, unique=True))
+        bits = lambda r: np.array([r.bleu, *r.precisions, r.brevity_penalty]).tobytes()
+        for hyps, seg in zip((first, second), stats):
+            want = bleu([hyps[i] for i in subset], [refs[i] for i in subset])
+            got = bleu_from_stats([seg[i] for i in subset])
+            assert got == want and bits(got) == bits(want)
+
+    def test_segment_stats_need_one_hypothesis_per_reference(self):
+        with pytest.raises(ValueError, match="segment count mismatch"):
+            segment_stats([[["a"]], [["a"], ["b"]]], [["a"]])
+        with pytest.raises(ValueError, match="at least one segment"):
+            bleu_from_stats([])
 
 
 class TestWer:
