@@ -4,19 +4,26 @@ Subcommands: train, build-datastore, decode, grid-search, diversify,
 select-data, leave-one-out, score, and lm-train (produces the count files
 decode's fusion flags consume).
 
-Exit codes: 0 success, 1 usage error, 2 data error. The exceptions in
-`_DATA_ERRORS` (a missing, malformed or mismatched file, an out-of-range
-value) are data errors: they exit 2 with one `error:` line. Any other
-exception is a defect in the program and keeps its traceback.
+Exit codes: 0 success, 1 usage error (a bad flag, such as a non-finite
+number or two output flags naming one file), 2 data error (an exception in
+`_DATA_ERRORS`: a missing, malformed or mismatched file, an out-of-range
+value). Either prints one `error:` line; any other exception is a defect in
+the program and keeps its traceback.
+
+A failed run changes no file. Each command returns its result and one
+writer per output flag given, and `main` alone writes them: every output,
+and the --manifest copy, goes under a temporary name beside its path, and
+all are moved into place only once every one is written.
 
 stdout carries one JSON result line per command. stderr carries progress
-plus a final manifest line, built from the parsed flags alone: `outputs`
-holds the output flags given (`_OUTPUT_FLAGS`) with a sha256 checksum of
-each, `inputs` every input flag (`_INPUT_FLAGS`, null when not given),
-`seed` the --seed, and `config` every other flag, so a run can be checked
-for bit-reproducibility. All randomness flows from --seed through numpy's
-default PCG64 generator. No JSON written holds NaN or Infinity, which are
-not JSON: a non-finite number in an output is a data error.
+and, only on success, a final manifest line built from the parsed flags
+alone: `outputs` holds the output flags given (`_OUTPUT_FLAGS`) with a
+sha256 checksum of each, `inputs` every input flag (`_INPUT_FLAGS`, null
+when not given), `seed` the --seed, and `config` every other flag, so a run
+can be checked for bit-reproducibility. All randomness flows from --seed
+through numpy's default PCG64 generator. No JSON written holds NaN or
+Infinity, which are not JSON: a non-finite number in an output is a data
+error.
 """
 
 from __future__ import annotations
@@ -24,25 +31,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import struct
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
-    CorpusError,
-    ParallelCorpus,
-    Vocab,
-    build_vocab,
-    corpus_token_lists,
-    load_corpus,
-    read_text,
-    tokenize,
-    write_corpus,
+    ParallelCorpus, Vocab, build_vocab, corpus_token_lists, load_corpus, read_text, tokenize, write_corpus,
 )
 from .datastore import build, check_index, load_datastore, load_ivf, save_datastore, save_ivf, train_ivf
 from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode_batch, grid_search
@@ -76,13 +75,43 @@ _INPUT_FLAGS = (
     "forward_model", "backward_model", "pool", "seed_corpus", "talkset", "hyp", "ref",
 )
 _OUTPUT_FLAGS = ("out", "vocab_out", "ivf_out")
-_DATA_ERRORS = (CorpusError, ValueError, KeyError, OSError, RuntimeError, struct.error)
+_DATA_ERRORS = (ValueError, KeyError, OSError, RuntimeError, struct.error)
 
 
-def _finish(ns, t0: float, stats: dict | None) -> None:
-    """Emit the run manifest: always one JSON line on stderr, plus a copy
-    at --manifest when given. Checksums cover every written artifact;
-    `stats`, when given, reports how the run went."""
+_Writer = Callable[[Path], None]  # writes one output's content at the path given
+_Result = tuple[dict, dict | None, dict[str, _Writer]]  # payload, stats, a writer per output flag given
+
+
+def _text(content: str) -> _Writer:
+    return lambda path: path.write_text(content, encoding="utf-8")
+
+
+def _check_outputs(ns) -> None:
+    """Refuse an output flag, --manifest among them, that names a directory
+    or the file an earlier one names: the moves into place must not fail,
+    nor one replace another."""
+    seen: dict[str, str] = {}
+    for flag in (*_OUTPUT_FLAGS, "manifest"):
+        name, path = "--" + flag.replace("_", "-"), getattr(ns, flag, None)
+        if path and os.path.isdir(path):
+            raise _UsageError(f"{name} names a directory: {path}")
+        if path and (other := seen.setdefault(os.path.realpath(path), name)) != name:
+            raise _UsageError(f"{other} and {name} name one file: {path}")
+
+
+def _stage(path: str, write: _Writer, tmps: dict[str, Path]) -> None:
+    """Write `path`'s content under a temporary name beside it, recorded in
+    `tmps`; an OSError names `path`, not the temporary name."""
+    tmp = tmps[path] = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _manifest(ns, t0: float, stats: dict | None, checksums: dict[str, str]) -> str:
+    """The run manifest line: checksums cover every output, keyed by its
+    final path; `stats`, when given, reports how the run went."""
     config = {k: v for k, v in vars(ns).items() if k not in ("command", "func", "manifest", "seed")}
     outputs = {k: v for k in _OUTPUT_FLAGS if (v := config.pop(k, None))}
     inputs = {k: config.pop(k) for k in _INPUT_FLAGS if k in config}
@@ -93,26 +122,18 @@ def _finish(ns, t0: float, stats: dict | None) -> None:
         "outputs": outputs,
         "seed": getattr(ns, "seed", None),
         "duration_s": round(time.perf_counter() - t0, 3),
-        "checksums": {p: _sha256(p) for p in outputs.values()},
+        "checksums": checksums,
     }
     if stats is not None:
         manifest["stats"] = stats
-    line = json.dumps(manifest, sort_keys=True, allow_nan=False)
-    print(line, file=sys.stderr)
-    if getattr(ns, "manifest", None):
-        Path(ns.manifest).write_text(line + "\n", encoding="utf-8")
-
-
-def _flip(corpus: ParallelCorpus) -> ParallelCorpus:
-    flipped = tuple(
-        replace(p, source=p.target, target=p.source) for p in corpus.pairs
-    )
-    return ParallelCorpus(flipped)
+    return json.dumps(manifest, sort_keys=True, allow_nan=False)
 
 
 def _load_direction(path: str, vocab: Vocab, direction: str) -> ParallelCorpus:
     corpus = load_corpus(path, vocab)
-    return _flip(corpus) if direction == "reverse" else corpus
+    if direction == "reverse":
+        return ParallelCorpus(tuple(replace(p, source=p.target, target=p.source) for p in corpus.pairs))
+    return corpus
 
 
 def _resolve_vocab(ns, corpus_paths: Sequence[str]) -> Vocab:
@@ -133,8 +154,15 @@ def _add_vocab_flags(sp, vocab_out: bool = False) -> None:
     sp.add_argument("--max-vocab", type=int, default=200, help="cap when building a vocabulary")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value):  # NaN passes every range check, and is not JSON
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_finite_float(part) for part in text.split(","))
 
 
 def _load_models(paths: Sequence[str], adapter: str | None, vocab: Vocab) -> list[RefModel]:
@@ -154,15 +182,13 @@ def _load_models(paths: Sequence[str], adapter: str | None, vocab: Vocab) -> lis
 
 def _load_stores(ns, models: Sequence[RefModel]):
     if not ns.datastore:
-        if getattr(ns, "ivf_index", None):
+        if ns.ivf_index:
             raise _UsageError("--ivf-index requires --datastore")
         return None
     if len(ns.datastore) != len(models):
-        raise _UsageError(
-            f"{len(models)} models but {len(ns.datastore)} datastores"
-        )
+        raise _UsageError(f"{len(models)} models but {len(ns.datastore)} datastores")
     stores = [load_datastore(p) for p in ns.datastore]
-    if getattr(ns, "ivf_index", None):
+    if ns.ivf_index:
         if len(ns.ivf_index) != len(stores):
             raise _UsageError("--ivf-index count must match --datastore count")
         for store, path in zip(stores, ns.ivf_index):
@@ -171,24 +197,9 @@ def _load_stores(ns, models: Sequence[RefModel]):
     return stores
 
 
-@contextmanager
-def _replacing(*paths: str):
-    """Temporary names beside `paths`, each moved over its path only when
-    the block completes, so a failed run leaves neither a partial file nor
-    a changed one."""
-    tmps = [Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp") for p in paths]
-    try:
-        yield tmps
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-    finally:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
-
-
 def _load_lm(ns, vocab: Vocab):
-    if not getattr(ns, "lm", None):
-        if getattr(ns, "lm_domain", None):
+    if not ns.lm:
+        if ns.lm_domain:
             raise _UsageError("--lm-domain requires --lm")
         if ns.fusion_alpha:  # with no LM to fuse it would change nothing
             raise _UsageError("--fusion-alpha requires --lm")
@@ -213,7 +224,7 @@ def _decode_config(ns) -> DecodeConfig:
     )
 
 
-def _cmd_train(ns) -> tuple[dict, dict | None]:
+def _cmd_train(ns) -> _Result:
     vocab = _resolve_vocab(ns, [ns.corpus])
     corpus = _load_direction(ns.corpus, vocab, ns.lang)
     if ns.adapters_only and not ns.init:
@@ -240,15 +251,14 @@ def _cmd_train(ns) -> tuple[dict, dict | None]:
     losses = train(model, corpus, cfg, ns.adapters_only, stats)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}", file=sys.stderr)
-    with _replacing(*filter(None, (ns.out, ns.vocab_out))) as tmps:
-        save_checkpoint(model, tmps[0])
-        if ns.vocab_out:
-            vocab.save(tmps[1])
+    writers = {"out": lambda path: save_checkpoint(model, path)}
+    if ns.vocab_out:
+        writers["vocab_out"] = vocab.save
     payload = {"command": "train", "epochs": ns.epochs, "final_loss": losses[-1], "out": ns.out}
-    return payload, stats.summary()
+    return payload, stats.summary(), writers
 
 
-def _cmd_build_datastore(ns) -> tuple[dict, dict | None]:
+def _cmd_build_datastore(ns) -> _Result:
     if ns.ivf_out and ns.ivf_clusters is None:
         raise _UsageError("--ivf-out requires --ivf-clusters")
     if ns.ivf_clusters is not None and not ns.ivf_out:
@@ -258,7 +268,7 @@ def _cmd_build_datastore(ns) -> tuple[dict, dict | None]:
     corpus = _load_direction(ns.corpus, vocab, ns.lang)
     store = build(models[0], corpus)
     payload = {"command": "build-datastore", "entries": len(store), "dim": store.dim, "out": ns.out}
-    index = None
+    writers = {"out": lambda path: save_datastore(store, path)}
     if ns.ivf_clusters is not None:
         index = train_ivf(  # checks 1 <= clusters <= entries before anything is written
             store,
@@ -267,15 +277,12 @@ def _cmd_build_datastore(ns) -> tuple[dict, dict | None]:
             seed=ns.seed,
             nprobe=ns.ivf_nprobe,
         )
+        writers["ivf_out"] = lambda path: save_ivf(index, path)
         payload["ivf_clusters"] = ns.ivf_clusters
-    with _replacing(*filter(None, (ns.out, ns.ivf_out))) as tmps:
-        save_datastore(store, tmps[0])
-        if index is not None:
-            save_ivf(index, tmps[1])
-    return payload, None
+    return payload, None, writers
 
 
-def _cmd_decode(ns) -> tuple[dict, dict | None]:
+def _cmd_decode(ns) -> _Result:
     vocab = Vocab.load(ns.vocab)
     models = _load_models(ns.model, ns.adapter, vocab)
     stores = _load_stores(ns, models)
@@ -284,20 +291,21 @@ def _cmd_decode(ns) -> tuple[dict, dict | None]:
     cfg = _decode_config(ns)
     cfg_snapshot = asdict(cfg)
     results = beam_decode_batch(models, stores, [pair.source for pair in corpus], cfg, lm=lm)
-    with _replacing(ns.out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
-        for i, (pair, (hyp, score)) in enumerate(zip(corpus, results)):
-            record = {
-                "id": i,
-                "source": " ".join(vocab.decode(pair.source.token_ids)),
-                "hypothesis": " ".join(vocab.decode(hyp)),
-                "score": score,
-                "config": cfg_snapshot,
-            }
-            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
-    return {"command": "decode", "segments": len(corpus), "out": ns.out}, None
+    records = (
+        {
+            "id": i,
+            "source": " ".join(vocab.decode(pair.source.token_ids)),
+            "hypothesis": " ".join(vocab.decode(hyp)),
+            "score": score,
+            "config": cfg_snapshot,
+        }
+        for i, (pair, (hyp, score)) in enumerate(zip(corpus, results))
+    )
+    text = "".join(json.dumps(record, sort_keys=True, allow_nan=False) + "\n" for record in records)
+    return {"command": "decode", "segments": len(corpus), "out": ns.out}, None, {"out": _text(text)}
 
 
-def _cmd_grid_search(ns) -> tuple[dict, dict | None]:
+def _cmd_grid_search(ns) -> _Result:
     vocab = Vocab.load(ns.vocab)
     models = _load_models(ns.model, ns.adapter, vocab)
     stores = _load_stores(ns, models)
@@ -313,7 +321,6 @@ def _cmd_grid_search(ns) -> tuple[dict, dict | None]:
     )
     lines = ["T\tw\tBLEU"]
     lines += [f"{T:g}\t{w:g}\t{score:.6f}" for T, w, score in result.rows]
-    Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     payload = {
         "command": "grid-search",
         "best_T": result.best_T,
@@ -321,30 +328,28 @@ def _cmd_grid_search(ns) -> tuple[dict, dict | None]:
         "best_bleu": result.best_bleu,
         "out": ns.out,
     }
-    return payload, None
+    return payload, None, {"out": _text("\n".join(lines) + "\n")}
 
 
-def _cmd_diversify(ns) -> tuple[dict, dict | None]:
+def _cmd_diversify(ns) -> _Result:
     vocab = Vocab.load(ns.vocab)
     corpus = load_corpus(ns.corpus, vocab)
     forward, backward = _load_models([ns.forward_model, ns.backward_model], None, vocab)
     augmented = diversify(corpus, forward, backward, ns.beam)
-    write_corpus(ns.out, augmented, vocab)
-    return {"command": "diversify", "original": len(corpus), "total": len(augmented), "out": ns.out}, None
+    payload = {"command": "diversify", "original": len(corpus), "total": len(augmented), "out": ns.out}
+    return payload, None, {"out": lambda path: write_corpus(path, augmented, vocab)}
 
 
-def _cmd_select_data(ns) -> tuple[dict, dict | None]:
+def _cmd_select_data(ns) -> _Result:
     vocab = _resolve_vocab(ns, [ns.pool, ns.seed_corpus])
     pool = load_corpus(ns.pool, vocab)
     seed_corpus = load_corpus(ns.seed_corpus, vocab)
-    selected = select_data(
-        pool, [p.source for p in seed_corpus.pairs], ns.max_order, ns.top_k
-    )
-    write_corpus(ns.out, selected, vocab)
-    return {"command": "select-data", "selected": len(selected), "pool": len(pool), "out": ns.out}, None
+    selected = select_data(pool, [p.source for p in seed_corpus.pairs], ns.max_order, ns.top_k)
+    payload = {"command": "select-data", "selected": len(selected), "pool": len(pool), "out": ns.out}
+    return payload, None, {"out": lambda path: write_corpus(path, selected, vocab)}
 
 
-def _cmd_leave_one_out(ns) -> tuple[dict, dict | None]:
+def _cmd_leave_one_out(ns) -> _Result:
     vocab = Vocab.load(ns.vocab)
     models = _load_models(ns.model, ns.adapter, vocab)
     talkset = load_corpus(ns.talkset, vocab)
@@ -365,14 +370,11 @@ def _cmd_leave_one_out(ns) -> tuple[dict, dict | None]:
             for r in report.per_talk
         ],
     }
-    if ns.out:
-        Path(ns.out).write_text(
-            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-        )
-    return payload, None
+    report_text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return payload, None, {"out": _text(report_text)} if ns.out else {}
 
 
-def _cmd_score(ns) -> tuple[dict, dict | None]:
+def _cmd_score(ns) -> _Result:
     hyps = [tokenize(line) for line in read_text(ns.hyp).splitlines()]
     refs = [tokenize(line) for line in read_text(ns.ref).splitlines()]
     if ns.metric == "bleu":
@@ -393,18 +395,16 @@ def _cmd_score(ns) -> tuple[dict, dict | None]:
             "value": corpus_wer(hyps, refs),
             "details": {"segments": len(refs)},
         }
-    return payload, None
+    return payload, None, {}
 
 
-def _cmd_lm_train(ns) -> tuple[dict, dict | None]:
+def _cmd_lm_train(ns) -> _Result:
     vocab = Vocab.load(ns.vocab)
     corpus = load_corpus(ns.corpus, vocab)
-    sents = [
-        p.target if ns.side == "target" else p.source for p in corpus.pairs
-    ]
+    sents = [p.target if ns.side == "target" else p.source for p in corpus.pairs]
     lm = lm_train(sents, ns.order, len(vocab))
-    save_ngram_counts(lm, vocab, ns.out)
-    return {"command": "lm-train", "grams": len(lm.counts), "order": ns.order, "out": ns.out}, None
+    payload = {"command": "lm-train", "grams": len(lm.counts), "order": ns.order, "out": ns.out}
+    return payload, None, {"out": lambda path: save_ngram_counts(lm, vocab, path)}
 
 
 def _add_common_model_flags(sp, multi: bool) -> None:
@@ -419,26 +419,13 @@ def _add_common_model_flags(sp, multi: bool) -> None:
 
 
 def _add_store_flags(sp) -> None:
-    sp.add_argument(
-        "--datastore",
-        action="append",
-        default=None,
-        help="datastore file, one per model (repeatable)",
-    )
-    sp.add_argument(
-        "--ivf-index",
-        action="append",
-        default=None,
-        help="IVF index file, one per datastore (repeatable)",
-    )
+    sp.add_argument("--datastore", action="append", help="datastore file, one per model (repeatable)")
+    sp.add_argument("--ivf-index", action="append", help="IVF index file, one per datastore (repeatable)")
 
 
 def _add_lang_flag(sp) -> None:
     sp.add_argument(
-        "--lang",
-        choices=("forward", "reverse"),
-        default="forward",
-        help="reverse swaps source and target",
+        "--lang", choices=("forward", "reverse"), default="forward", help="reverse swaps source and target"
     )
 
 
@@ -449,8 +436,8 @@ def _add_mixing_flags(sp, grid: bool = False) -> None:
         sp.add_argument("--T-grid", type=_float_list, default=T_GRID_DEFAULT, help="comma-separated temperatures")
         sp.add_argument("--w-grid", type=_float_list, default=W_GRID_DEFAULT, help="comma-separated weights")
     else:
-        sp.add_argument("--T", type=float, default=50.0, help="retrieval temperature")
-        sp.add_argument("--w", type=float, default=0.3, help="retrieval interpolation weight")
+        sp.add_argument("--T", type=_finite_float, default=50.0, help="retrieval temperature")
+        sp.add_argument("--w", type=_finite_float, default=0.3, help="retrieval interpolation weight")
 
 
 def _add_beam_flags(sp) -> None:
@@ -476,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--adapters-only", action="store_true", help="freeze the base, train an adapter")
     sp.add_argument("--adapter-tag", default="default", help="adapter name in the checkpoint")
     sp.add_argument("--epochs", type=int, default=10)
-    sp.add_argument("--lr", type=float, default=0.5)
+    sp.add_argument("--lr", type=_finite_float, default=0.5)
     sp.add_argument("--batch-size", type=int, default=8)
-    sp.add_argument("--clip", type=float, default=5.0, help="gradient clip norm")
+    sp.add_argument("--clip", type=_finite_float, default=5.0, help="gradient clip norm")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--embed-dim", type=int, default=32)
     sp.add_argument("--hidden-dim", type=int, default=64)
@@ -504,10 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True, help="TSV whose source side is decoded")
     sp.add_argument("--out", required=True, help="JSONL hypotheses to write")
     sp.add_argument("--exclude-talk", type=int, default=None, help="never retrieve from this talk")
-    sp.add_argument("--fusion-alpha", type=float, default=0.0, help="LM fusion weight")
+    sp.add_argument("--fusion-alpha", type=_finite_float, default=0.0, help="LM fusion weight")
     sp.add_argument("--lm", default=None, help="n-gram counts for fusion")
     sp.add_argument("--lm-domain", default=None, help="domain n-gram counts to mix in")
-    sp.add_argument("--lm-lambda", type=float, default=0.5, help="domain LM mixture weight")
+    sp.add_argument("--lm-lambda", type=_finite_float, default=0.5, help="domain LM mixture weight")
     _add_lang_flag(sp)
 
     sp = command("grid-search", _cmd_grid_search, "sweep retrieval temperature and weight on a dev set")
@@ -561,22 +548,34 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        _check_outputs(ns)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    tmps: dict[str, Path] = {}  # final path -> its temporary file
     try:
         t0 = time.perf_counter()
-        payload, stats = ns.func(ns)
+        payload, stats, writers = ns.func(ns)
         result = json.dumps(payload, sort_keys=True, allow_nan=False)
-        _finish(ns, t0, stats)
+        for flag, write in writers.items():
+            _stage(getattr(ns, flag), write, tmps)
+        line = _manifest(ns, t0, stats, {path: _sha256(tmp) for path, tmp in tmps.items()})
+        if ns.manifest:
+            _stage(ns.manifest, _text(line + "\n"), tmps)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+    print(line, file=sys.stderr)
     print(result)
     return 0
 

@@ -132,7 +132,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        return cls(tuple(read_text(path).splitlines()))
+        tokens = tuple(read_text(path).splitlines())
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_vocab(corpus: Sequence[Sequence[str]], max_size: int) -> Vocab:

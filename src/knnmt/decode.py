@@ -48,16 +48,17 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.T <= 0:
-            raise ValueError("temperature must be > 0")
+        # each float check is written so that NaN, which fails every comparison, fails it too
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.T}")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("interpolation weight must be in [0, 1]")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if self.fusion_alpha < 0:
-            raise ValueError("fusion_alpha must be >= 0")
+        if not 0 <= self.fusion_alpha < np.inf:
+            raise ValueError(f"fusion_alpha must be finite and >= 0, got {self.fusion_alpha}")
         if self.exclude_talk is not None and not 0 <= self.exclude_talk < TALK_ID_LIMIT:
             raise ValueError(f"exclude_talk must be in [0, 2**32), got {self.exclude_talk}")
 

@@ -175,7 +175,7 @@ def save_ngram_counts(lm: NgramLm, vocab: Vocab, path: str | Path) -> None:
 def load_ngram_counts(path: str | Path, vocab: Vocab) -> NgramLm:
     """Load a counts listing written by save_ngram_counts. A malformed
     line (not two tab-separated fields, a count that is not an integer
-    >= 1, an order outside [1, 5]), a token not in the vocabulary (a
+    in [1, 2**63), an order outside [1, 5]), a token not in the vocabulary (a
     literal <unk> is in it) or a gram listed twice is an error naming the
     file and the line."""
     lines = read_text(path).splitlines()
@@ -197,6 +197,8 @@ def load_ngram_counts(path: str | Path, vocab: Vocab) -> NgramLm:
         count = _line_int(path, n, "count", count_str)
         if count < 1:
             raise ValueError(f"{path}: line {n}: count must be >= 1, got {count}")
+        if count >= 2**63:  # distribution() would overflow a float
+            raise ValueError(f"{path}: line {n}: count must be < 2**63, got {count}")
         gram = tuple(vocab.encode(toks.split(" ")))
         for tok, i in zip(toks.split(" "), gram):
             if i == UNK_ID and tok != vocab.tokens[UNK_ID]:

@@ -260,15 +260,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # lr 0 is allowed: one epoch at lr 0 must leave params untouched
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # each float check is written so that NaN, which fails every
+        # comparison, fails it too. lr 0 is allowed: one epoch at lr 0 must
+        # leave params untouched
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+        if not 0 < self.clip_norm < np.inf:
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
 def _pair_grads(
@@ -552,7 +554,11 @@ def load_checkpoint(path: str | Path) -> RefModel:
         )
         model = RefModel(params, adapter_rank=rank)
         for _ in range(take_u32()):
-            tag = take_bytes(take_u32()).decode("utf-8")
+            raw = take_bytes(take_u32())
+            try:
+                tag = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: adapter tag {raw!r} is not UTF-8") from None
             if tag in model.adapters:
                 raise ValueError(f"{path}: adapter {tag!r} is listed twice")
             model.adapters[tag] = AdapterParams(W_down=take(rank, d), W_up=take(d, rank))

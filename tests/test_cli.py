@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmt.cli import build_parser, main
 from knnmt.core import RESERVED_TOKENS, Vocab, load_corpus
@@ -836,6 +841,116 @@ class TestManifest:
         assert manifests["decode"]["checksums"] == {str(root / "h.jsonl"): sha(root / "h.jsonl")}
 
 
+class TestAllOrNothing:
+    """A failed run changes no file: its outputs and its --manifest copy are
+    written under temporary names and moved into place only together."""
+
+    OUTPUT_NAMES = ("--out", "--vocab-out", "--ivf-out")
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE))
+    def test_failed_run_changes_no_file(self, pipeline, tmp_path, capsys, command):
+        root = pipeline[0]
+        argv = in_dir(root, PIPELINE[command])
+        if command == "leave-one-out":
+            argv += ["--out", "loo.json"]
+        sentinels = {}
+        for i, arg in enumerate(argv[:-1]):
+            if arg in self.OUTPUT_NAMES:
+                out = tmp_path / Path(argv[i + 1]).name
+                out.write_bytes(b"sentinel " + out.name.encode())
+                sentinels[out] = out.read_bytes()
+                argv[i + 1] = str(out)
+        manifest = tmp_path / "missing" / "m.json"
+        capsys.readouterr()
+        assert main([command, *argv, "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(manifest) in errors[0] and ".tmp" not in errors[0]
+        assert not [line for line in captured.err.splitlines() if line.startswith("{")]
+        assert {out: out.read_bytes() for out in sentinels} == sentinels
+        assert sorted(tmp_path.iterdir()) == sorted(sentinels)
+
+    def test_success_replaces_every_output(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        outs = {name: tmp_path / name for name in ("s.knnd", "s.knni", "m.json")}
+        for out in outs.values():
+            out.write_bytes(b"old")
+        argv = ["build-datastore", *in_dir(root, PIPELINE["build-datastore"])]
+        argv[argv.index("--out") + 1] = str(outs["s.knnd"])
+        argv[argv.index("--ivf-out") + 1] = str(outs["s.knni"])
+        assert main([*argv, "--manifest", str(outs["m.json"])]) == 0
+        assert sha(outs["s.knnd"]) == sha(root / "s.knnd") and sha(outs["s.knni"]) == sha(root / "s.knni")
+        manifest = json.loads(outs["m.json"].read_text())
+        assert manifest["checksums"] == {str(outs[n]): sha(root / n) for n in ("s.knnd", "s.knni")}
+        assert capsys.readouterr().err.splitlines()[-1] == outs["m.json"].read_text().rstrip("\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outs)
+
+    @pytest.mark.parametrize(
+        "command, first, second",
+        [
+            ("train", "--out", "--vocab-out"),
+            ("build-datastore", "--out", "--ivf-out"),
+            ("decode", "--out", "--manifest"),
+            ("leave-one-out", "--out", "--manifest"),
+        ],
+    )
+    def test_two_outputs_naming_one_file_is_usage_error(self, pipeline, tmp_path, capsys, command, first, second):
+        # before, train renamed one temporary file twice and left the
+        # vocabulary at --out; build-datastore left the index there
+        argv = in_dir(pipeline[0], PIPELINE[command])
+        same = tmp_path / "same"
+        for flag in (first, second):
+            if flag in argv:
+                argv[argv.index(flag) + 1] = str(same)
+            else:
+                argv += [flag, str(same)]
+        if command == "leave-one-out":  # a second name for the file, through its directory
+            argv[argv.index("--manifest") + 1] = str(tmp_path / "." / "same")
+        capsys.readouterr()
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {first} and {second} name one file: {argv[argv.index(second) + 1]}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--vocab-out", "--manifest"])
+    def test_output_naming_a_directory_is_usage_error(self, pipeline, tmp_path, capsys, flag):
+        # before, the move onto the directory failed after the other outputs
+        # were in place, and the error named the temporary file
+        argv = in_dir(pipeline[0], PIPELINE["train"])
+        for out in ("--out", "--vocab-out"):
+            argv[argv.index(out) + 1] = str(tmp_path / out.strip("-"))
+        (tmp_path / "dir").mkdir()
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(tmp_path / "dir")
+        else:
+            argv += [flag, str(tmp_path / "dir")]
+        capsys.readouterr()
+        assert main(["train", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {flag} names a directory: {tmp_path / 'dir'}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("decode", "--T"), ("decode", "--w"), ("decode", "--fusion-alpha"), ("decode", "--lm-lambda"),
+            ("train", "--lr"), ("train", "--clip"), ("grid-search", "--T-grid"), ("grid-search", "--w-grid"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_is_usage_error(self, pipeline, tmp_path, capsys, command, flag, value):
+        # before, --T nan reached the model, and --T-grid nan,1 wrote NaN rows
+        argv = in_dir(pipeline[0], PIPELINE[command])
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+        listed = value + ",1" if flag.endswith("-grid") else value
+        capsys.readouterr()
+        assert main([command, *argv, f"{flag}={listed}"]) == 1  # "-inf" alone reads as a flag
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: argument {flag}: expected a finite number, got {value!r}"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDataErrors:
     """Wrong-kind inputs are data errors: exit 2 with one `error:` line and
     no traceback, and no output file."""
@@ -886,6 +1001,38 @@ class TestDataErrors:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {lm}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["lm.txt"]
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (["w1", "w2"], "vocabulary must start with the reserved tokens"),
+            ([*RESERVED_TOKENS, "w1", "w1"], "vocabulary contains duplicate tokens"),
+        ],
+    )
+    def test_bad_vocabulary_names_the_file(self, pipeline, tmp_path, capsys, tokens, message):
+        # before, the error did not say which file held the vocabulary
+        root = pipeline[0]
+        vocab = tmp_path / "v.txt"
+        vocab.write_text("\n".join(tokens) + "\n")
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(vocab)]
+        argv += ["--corpus", str(root / "talks.tsv"), "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {vocab}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["v.txt"]
+
+    @pytest.mark.parametrize("count", [2**63, 10**400])
+    def test_count_too_large_for_a_float(self, pipeline, tmp_path, capsys, count):
+        # before, decoding with it raised an OverflowError with a traceback
+        root = pipeline[0]
+        lm = tmp_path / "lm.txt"
+        lm.write_text(f"NGRAM-COUNTS v1 order=1\n{count}\tw1\n")
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt"), "--fusion-alpha", "0.3"]
+        argv += ["--corpus", str(root / "talks.tsv"), "--lm", str(lm), "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {lm}: line 2: count must be < 2**63, got {count}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["lm.txt"]
 
     def test_other_exceptions_are_defects(self, pipeline, tmp_path, monkeypatch):
@@ -1090,3 +1237,149 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: not UTF-8 text\n"
         assert [p.name for p in tmp_path.iterdir()] == ["latin1.txt"]
+
+    def test_adapter_tag_names_the_file(self, pipeline, tmp_path, capsys):
+        # before, the error was the codec's, naming no file
+        root = pipeline[0]
+        model = load_checkpoint(root / "m.rmdl")
+        model.add_adapter("ab")
+        bad = tmp_path / "tag.rmdl"
+        save_checkpoint(model, bad)
+        data = bytearray(bad.read_bytes())
+        data[data.rindex(b"ab")] = 0xFF
+        bad.write_bytes(bytes(data))
+        argv = ["decode", "--model", str(bad), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: adapter tag {bytes([0xFF]) + b'b'!r} is not UTF-8\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["tag.rmdl"]
+
+
+U32_EDGES = (0, 1, 2**31, 2**32 - 1)
+# a counts file's numbers are text, so a count can also be negative or
+# exceed 64 bits
+COUNT_EDGES = (0, -1, 2**32 - 1, 2**63, 10**400)
+ODD_TALK_IDS = ("-1", "4294967295", "4294967296", "2147483648", "007", "1e3", "0x10", "+7", " 7", "1_0", "٣", "")
+
+
+def header_words(name, data):
+    """Offsets of the u32 words in a binary file's header (and, for an IVF
+    index, of each list's length) and the byte range of its float block:
+    (offsets, (start, stop, float width))."""
+    if name == "m.rmdl":
+        _, d_e, d, v, _ = struct.unpack_from("<5I", data, 4)
+        n = v * d_e + 2 * d * d_e + d * d + d + v * d + v
+        return [4, 8, 12, 16, 20, 24 + 8 * n], (24, 24 + 8 * n, 8)
+    if name == "s.knnd":
+        _, dim, count = struct.unpack_from("<IIQ", data, 4)
+        return [4, 8, 12, 16], (20, 20 + 4 * count * dim, 4)
+    _, dim, n_clusters, _ = struct.unpack_from("<4I", data, 4)
+    offsets, at = [4, 8, 12, 16], 20 + 4 * n_clusters * dim
+    for _ in range(n_clusters):
+        offsets += [at, at + 4]
+        at += 8 + 8 * struct.unpack_from("<Q", data, at)[0]
+    return offsets, (20, 20 + 4 * n_clusters * dim, 4)
+
+
+# each input file with the kinds of change that apply to it
+MUTATIONS = [
+    *((name, kind) for name in ("m.rmdl", "s.knnd", "s.knni") for kind in ("word", "byte", "truncate", "float")),
+    *((name, kind) for name in ("v.txt", "lm.txt", "talks.tsv") for kind in ("byte", "truncate", "utf8")),
+    ("lm.txt", "word"),
+    ("lm.txt", "count"),
+    ("talks.tsv", "talk"),
+]
+
+
+@st.composite
+def mutations(draw, name, kind, data):
+    """`data` with one hostile change of `kind`: a header word (or a counts
+    file's order or count) set to an edge value, one byte changed, a
+    truncation, a non-finite float, bytes that are not UTF-8, or an odd
+    talk id."""
+    out = bytearray(data)
+    if kind == "byte":
+        out[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    elif kind == "truncate":
+        del out[draw(st.integers(0, len(data) - 1)) :]
+    elif kind == "word" and name == "lm.txt":  # the header's order
+        header, rest = data.split(b"\n", 1)
+        out = bytearray(header.rsplit(b"=", 1)[0] + b"=%d\n" % draw(st.sampled_from(U32_EDGES)) + rest)
+    elif kind == "word":
+        offsets, _ = header_words(name, data)
+        struct.pack_into("<I", out, draw(st.sampled_from(offsets)), draw(st.sampled_from(U32_EDGES)))
+    elif kind == "float":
+        _, (start, stop, width) = header_words(name, data)
+        at = start + width * draw(st.integers(0, (stop - start) // width - 1))
+        struct.pack_into("<d" if width == 8 else "<f", out, at, draw(st.sampled_from((np.nan, np.inf, -np.inf))))
+    elif kind == "count":  # every count at once, so that each edge is tried
+        header, *lines = data.decode().splitlines()
+        edge = draw(st.sampled_from(COUNT_EDGES))
+        grams = [line.split("\t")[1] for line in lines]
+        out = bytearray("".join([f"{header}\n", *(f"{edge}\t{gram}\n" for gram in grams)]).encode())
+    elif kind == "utf8":
+        at = draw(st.integers(0, len(data)))
+        out[at:at] = draw(st.sampled_from((b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80")))
+    else:  # an odd talk id
+        lines = data.decode().splitlines()
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split("\t")
+        lines[i] = "\t".join([*fields[:3], draw(st.sampled_from(ODD_TALK_IDS))])
+        out = bytearray("\n".join(lines).encode() + b"\n")
+    return bytes(out)
+
+
+def strict_json(text):
+    """`text` parsed as JSON that holds no NaN or infinity, not even as a
+    number too large for a float."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    def finite(number):
+        assert np.isfinite(float(number)), text
+        return float(number)
+
+    return json.loads(text, parse_constant=refuse, parse_float=finite)
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+class TestHostileInputs:
+    """Each smoke-size input, changed in one hostile way, gives either exit
+    2 with one `error:` line, no traceback and no --out file, or exit 0 with
+    every output strict JSON and every score finite."""
+
+    # the command each mutated file is given to: every file decode reads at
+    # once, and the talkset to leave-one-out, where talk ids matter most
+    DECODE = ["decode", "--model", "m.rmdl", "--vocab", "v.txt", "--corpus", "talks.tsv", "--datastore", "s.knnd",
+              "--ivf-index", "s.knni", "--lm", "lm.txt", "--fusion-alpha", "0.3", "--beam", "2"]
+    LOO = ["leave-one-out", "--model", "m.rmdl", "--vocab", "v.txt", "--talkset", "talks.tsv", "--beam", "2"]
+
+    @pytest.mark.parametrize("name, kind", MUTATIONS)
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_contract(self, pipeline, hostile_dir, name, kind, data):
+        root = pipeline[0]
+        bad = hostile_dir / name
+        bad.write_bytes(data.draw(mutations(name, kind, (root / name).read_bytes())))
+        out = hostile_dir / "out"
+        out.unlink(missing_ok=True)
+        given = in_dir(root, self.LOO if name == "talks.tsv" else self.DECODE)
+        argv = [str(bad) if arg == str(root / name) else arg for arg in given]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        err = stderr.getvalue()
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert stdout.getvalue() == "" and not out.exists()
+        else:
+            assert code == 0, err
+            strict_json(stdout.getvalue())
+            strict_json(err.splitlines()[-1])
+            for line in out.read_text().splitlines() if name != "talks.tsv" else [out.read_text()]:
+                strict_json(line)

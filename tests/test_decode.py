@@ -276,6 +276,21 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             DecodeConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_temperature_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            DecodeConfig(T=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_weight_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="interpolation weight must be in"):
+            DecodeConfig(w=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_fusion_alpha_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="fusion_alpha must be finite"):
+            DecodeConfig(fusion_alpha=value)
+
 
 @pytest.fixture(scope="module")
 def copy_setup():

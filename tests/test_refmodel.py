@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import struct
 import tracemalloc
@@ -342,6 +343,16 @@ class TestTrain:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_learning_rate_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_clip_norm_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="clip_norm must be finite"):
+            TrainConfig(clip_norm=value)
 
 
 class TestAdapters:
