@@ -41,10 +41,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .core import (
-    ParallelCorpus, Vocab, build_vocab, corpus_token_lists, load_corpus, read_text, tokenize, write_corpus,
+    ParallelCorpus, Vocab, build_vocab, corpus_token_lists, load_corpus, naming, read_text, tokenize, write_corpus,
 )
 from .datastore import build, check_index, load_datastore, load_ivf, save_datastore, save_ivf, train_ivf
-from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode_batch, grid_search
+from .decode import T_GRID_DEFAULT, W_GRID_DEFAULT, DecodeConfig, beam_decode_batch, check_store, grid_search
 from .metrics import bleu, corpus_wer
 from .ngram import lm_interpolate, lm_train, load_ngram_counts, save_ngram_counts, select_data
 from .pipeline import diversify, leave_one_out_eval
@@ -187,13 +187,16 @@ def _load_stores(ns, models: Sequence[RefModel]):
         return None
     if len(ns.datastore) != len(models):
         raise _UsageError(f"{len(models)} models but {len(ns.datastore)} datastores")
-    stores = [load_datastore(p) for p in ns.datastore]
-    if ns.ivf_index:
-        if len(ns.ivf_index) != len(stores):
-            raise _UsageError("--ivf-index count must match --datastore count")
-        for store, path in zip(stores, ns.ivf_index):
-            store.index = load_ivf(path)
-            check_index(store)  # refuse another store's index before any output
+    if ns.ivf_index and len(ns.ivf_index) != len(models):
+        raise _UsageError("--ivf-index count must match --datastore count")
+    stores = []
+    for model, path, index_path in zip(models, ns.datastore, ns.ivf_index or [None] * len(models)):
+        store = load_datastore(path)
+        naming(path, check_store, model, store)
+        if index_path:
+            store.index = load_ivf(index_path)
+            naming(index_path, check_index, store)  # another store's index, refused before any output
+        stores.append(store)
     return stores
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import functools
+import math
+import os
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,13 +25,14 @@ class CorpusError(ValueError):
     """Malformed corpus file or inconsistent corpus arguments."""
 
 
-def check_file_size(path: str | Path, actual: int, expected: int, at_least: bool = False) -> None:
-    """Refuse a binary file of `actual` bytes whose header implies
-    `expected` (with `at_least`, a lower bound known before the rest is
-    read): a truncated file or one with trailing bytes is not loaded."""
+def check_file_size(fh: BinaryIO, expected: int, at_least: bool = False) -> None:
+    """Refuse an open binary file whose header implies `expected` bytes
+    (with `at_least`, a lower bound known before the rest is read): a
+    truncated file or one with trailing bytes is not loaded."""
+    actual = os.fstat(fh.fileno()).st_size
     if actual < expected or (actual != expected and not at_least):
         bound = "at least " if at_least else ""
-        raise ValueError(f"{path}: header implies {bound}{expected} bytes, file has {actual}")
+        raise ValueError(f"{fh.name}: header implies {bound}{expected} bytes, file has {actual}")
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
@@ -42,11 +45,28 @@ def check_finite(arr: np.ndarray, what: str) -> None:
 
 def read_array(fh: BinaryIO, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     """The next array of `shape` in an open binary file, read straight into
-    its own memory. Check with check_file_size first that the file holds it."""
+    its own memory. Its size is taken in Python ints, which cannot
+    overflow, and checked against what is left of the file before the array
+    is allocated: a header word of any size is refused, naming the file."""
+    check_file_size(fh, fh.tell() + np.dtype(dtype).itemsize * math.prod(shape), at_least=True)
     arr = np.empty(shape, dtype=dtype)
     if fh.readinto(arr) != arr.nbytes:
         raise ValueError(f"{fh.name}: file ended while being read")
     return arr
+
+
+def read_bytes(fh: BinaryIO, n: int) -> bytes:
+    """The next `n` bytes of an open binary file, such as header words or
+    a tag, checked as read_array checks an array."""
+    return read_array(fh, "u1", (n,)).tobytes()
+
+
+def naming(path: str | Path, call: Callable, *args, **kwargs):
+    """call(*args, **kwargs), a ValueError from it prefixed with `path`."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _text_lines(path: str | Path) -> Iterator[str]:
@@ -132,11 +152,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        tokens = tuple(read_text(path).splitlines())
-        try:
-            return cls(tokens)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return naming(path, cls, tuple(read_text(path).splitlines()))
 
 
 def build_vocab(corpus: Sequence[Sequence[str]], max_size: int) -> Vocab:

@@ -12,7 +12,6 @@ to a stored key has distance exactly 0 and duplicate keys tie exactly.
 from __future__ import annotations
 
 import itertools
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus, check_file_size, check_finite, read_array
+from .core import BOS_ID, EOS_ID, ParallelCorpus, check_file_size, check_finite, naming, read_array, read_bytes
 from .refmodel import StepModel
 
 DATASTORE_MAGIC = b"KNND"
@@ -694,17 +693,14 @@ def save_datastore(ds: Datastore, path: str | Path) -> None:
 
 def load_datastore(path: str | Path) -> Datastore:
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(4) != DATASTORE_MAGIC:
+        if read_bytes(fh, 4) != DATASTORE_MAGIC:
             raise ValueError(f"{path}: not a datastore file")
-        offset = 4 + 16
-        check_file_size(path, size, offset, at_least=True)
-        version, dim, count = struct.unpack("<IIQ", fh.read(16))
+        version, dim, count = struct.unpack("<IIQ", read_bytes(fh, 16))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported datastore version {version}")
         if dim < 1:
             raise ValueError(f"{path}: dim must be >= 1, got {dim}")
-        check_file_size(path, size, offset + count * (dim + 2) * 4)
+        check_file_size(fh, fh.tell() + 4 * count * (dim + 2))
         # a NaN key would make every margin bound NaN, and search find nothing
         keys = read_array(fh, "<f4", (count, dim))
         check_finite(keys, f"{path}: datastore keys")
@@ -731,32 +727,16 @@ def save_ivf(index: IvfIndex, path: str | Path) -> None:
 
 def load_ivf(path: str | Path) -> IvfIndex:
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(4) != IVF_MAGIC:
+        if read_bytes(fh, 4) != IVF_MAGIC:
             raise ValueError(f"{path}: not an IVF index file")
-        offset = 4 + 16
-        check_file_size(path, size, offset, at_least=True)
-        version, dim, n_clusters, nprobe = struct.unpack("<4I", fh.read(16))
+        version, dim, n_clusters, nprobe = struct.unpack("<4I", read_bytes(fh, 16))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported index version {version}")
-        # the list lengths first, seeking past each list, so the file's
-        # length is checked before any array is read
-        offset += n_clusters * dim * 4
-        lengths = []
-        for _ in range(n_clusters):
-            check_file_size(path, size, offset + 8, at_least=True)
-            fh.seek(offset)
-            lengths.append(struct.unpack("<Q", fh.read(8))[0])
-            offset += 8 + lengths[-1] * 8
-        check_file_size(path, size, offset)
-        fh.seek(4 + 16)
         centroids = read_array(fh, "<f4", (n_clusters, dim))
         lists = []
-        for length in lengths:
-            fh.seek(8, os.SEEK_CUR)
+        for _ in range(n_clusters):
+            length = struct.unpack("<Q", read_bytes(fh, 8))[0]
             # row indices are below 2**63, so u64 and i64 share their bytes
             lists.append(read_array(fh, "<i8", (length,)).astype(np.int64, copy=False))
-    try:
-        return IvfIndex(centroids=centroids, lists=lists, nprobe=nprobe)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        check_file_size(fh, fh.tell())
+    return naming(path, IvfIndex, centroids=centroids, lists=lists, nprobe=nprobe)

@@ -31,6 +31,7 @@ from .refmodel import StepModel
 
 T_GRID_DEFAULT = (10.0, 50.0, 100.0)
 W_GRID_DEFAULT = (0.1, 0.3, 0.5)
+MAX_LEN_LIMIT = 1024  # an explicit max_len above it could grow hypotheses until memory runs out
 
 LmFunc = Callable[[Sequence[int]], np.ndarray]
 
@@ -55,8 +56,8 @@ class DecodeConfig:
             raise ValueError("interpolation weight must be in [0, 1]")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        if self.max_len is not None and not 1 <= self.max_len <= MAX_LEN_LIMIT:
+            raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}], got {self.max_len}")
         if not 0 <= self.fusion_alpha < np.inf:
             raise ValueError(f"fusion_alpha must be finite and >= 0, got {self.fusion_alpha}")
         if self.exclude_talk is not None and not 0 <= self.exclude_talk < TALK_ID_LIMIT:
@@ -269,13 +270,18 @@ def _model_stores(
     if len(store_list) != len(model_list):
         raise ValueError(f"{len(model_list)} models but {len(store_list)} datastores")
     for model, store in zip(model_list, store_list):
-        if store is None:
-            continue
-        if store.dim != model.hidden_dim():
-            raise ValueError(f"datastore dim {store.dim} != model hidden dim {model.hidden_dim()}")
-        if len(store):
-            _check_token_ids(store.values, model.vocab_size())
+        if store is not None:
+            check_store(model, store)
     return model_list, store_list
+
+
+def check_store(model: StepModel, store: Datastore) -> None:
+    """Refuse a store whose keys are not `model`'s hidden states or whose
+    token ids fall outside its vocabulary."""
+    if store.dim != model.hidden_dim():
+        raise ValueError(f"datastore dim {store.dim} != model hidden dim {model.hidden_dim()}")
+    if len(store):
+        _check_token_ids(store.values, model.vocab_size())
 
 
 def beam_decode(

@@ -12,7 +12,6 @@ against finite differences.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import time
 from abc import ABC, abstractmethod
@@ -22,7 +21,8 @@ from typing import Any, Collection, Sequence
 
 import numpy as np
 
-from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair, check_file_size, check_finite, read_array
+from .core import BOS_ID, EOS_ID, ParallelCorpus, Sentence, SentencePair
+from .core import check_file_size, check_finite, read_array, read_bytes
 
 BASE_PARAM_NAMES = ("E", "W_c", "W_y", "W_h", "b", "U", "b_o")
 CHECKPOINT_MAGIC = b"RMDL"
@@ -114,19 +114,15 @@ def init_params(
     if embed_dim < 1 or hidden_dim < 1:
         raise ValueError(f"embed_dim and hidden_dim must be >= 1, got {embed_dim} and {hidden_dim}")
     rng = np.random.default_rng(seed)
+    shapes = _param_shapes(vocab_size, embed_dim, hidden_dim)
+    return RefModelParams(**{name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()})
 
-    def u(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.1, 0.1, size=shape)
 
-    return RefModelParams(
-        E=u(vocab_size, embed_dim),
-        W_c=u(hidden_dim, embed_dim),
-        W_y=u(hidden_dim, embed_dim),
-        W_h=u(hidden_dim, hidden_dim),
-        b=u(hidden_dim),
-        U=u(vocab_size, hidden_dim),
-        b_o=u(vocab_size),
-    )
+def _param_shapes(v: int, d_e: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Each base array's shape for vocabulary size v, embed dim d_e and
+    hidden dim d, in BASE_PARAM_NAMES order: the order init_params draws
+    them in and a checkpoint stores them in."""
+    return {"E": (v, d_e), "W_c": (d, d_e), "W_y": (d, d_e), "W_h": (d, d), "b": (d,), "U": (v, d), "b_o": (v,)}
 
 
 @dataclass
@@ -511,22 +507,9 @@ def save_checkpoint(model: RefModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> RefModel:
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(4) != CHECKPOINT_MAGIC:
+        if read_bytes(fh, 4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
-        offset = 4
-
-        def reserve(n: int) -> int:
-            """Check that the file holds the next `n` bytes and step past them."""
-            nonlocal offset
-            check_file_size(path, size, offset + n, at_least=True)
-            offset += n
-            return n
-
-        def take_bytes(n: int) -> bytes:
-            return fh.read(reserve(n))
-
-        version, d_e, d, v, rank = struct.unpack("<5I", take_bytes(20))
+        version, d_e, d, v, rank = struct.unpack("<5I", read_bytes(fh, 20))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if rank < 1:
@@ -535,26 +518,17 @@ def load_checkpoint(path: str | Path) -> RefModel:
             raise ValueError(f"{path}: embed_dim and hidden_dim must be >= 1, got {d_e} and {d}")
 
         def take(*shape: int) -> np.ndarray:
-            reserve(8 * int(np.prod(shape)))
             arr = read_array(fh, "<f8", shape)
             check_finite(arr, f"{path}: checkpoint weights")  # else decoding scores NaN
             return arr
 
         def take_u32() -> int:
-            return struct.unpack("<I", take_bytes(4))[0]
+            return struct.unpack("<I", read_bytes(fh, 4))[0]
 
-        params = RefModelParams(
-            E=take(v, d_e),
-            W_c=take(d, d_e),
-            W_y=take(d, d_e),
-            W_h=take(d, d),
-            b=take(d),
-            U=take(v, d),
-            b_o=take(v),
-        )
+        params = RefModelParams(**{name: take(*shape) for name, shape in _param_shapes(v, d_e, d).items()})
         model = RefModel(params, adapter_rank=rank)
         for _ in range(take_u32()):
-            raw = take_bytes(take_u32())
+            raw = read_bytes(fh, take_u32())
             try:
                 tag = raw.decode("utf-8")
             except UnicodeDecodeError:
@@ -562,5 +536,5 @@ def load_checkpoint(path: str | Path) -> RefModel:
             if tag in model.adapters:
                 raise ValueError(f"{path}: adapter {tag!r} is listed twice")
             model.adapters[tag] = AdapterParams(W_down=take(rank, d), W_up=take(d, rank))
-        check_file_size(path, size, offset)
+        check_file_size(fh, fh.tell())
     return model

@@ -410,7 +410,7 @@ class TestDecode:
         ]
         assert main(decode) == 2
         err = capsys.readouterr().err
-        assert "error: IVF index over" in err and "Traceback" not in err
+        assert f"error: {work / 'talks.knni'}: IVF index over" in err and "Traceback" not in err
         assert sorted(work.iterdir()) == files  # no --out, no temporary file
         (work / "hyps.jsonl").write_text("an earlier run\n")
         assert main(decode) == 2
@@ -1175,6 +1175,61 @@ class TestOutOfRange:
         assert capsys.readouterr().err == f"error: adapter_rank must be >= 1, got {rank}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("max_len", ["1025", "100000000000000000000"])
+    def test_max_len_above_the_bound(self, pipeline, tmp_path, capsys, max_len):
+        root = pipeline[0]
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--max-len", max_len, "--out", str(tmp_path / "h.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: max_len must be in [1, 1024], got {max_len}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStoreMismatch:
+    """A store that does not fit its model, or an index built on another
+    store, is a data error naming the file at fault."""
+
+    def decode(self, root, tmp_path, capsys, store, index=None):
+        argv = ["decode", "--model", str(root / "m.rmdl"), "--vocab", str(root / "v.txt")]
+        argv += ["--corpus", str(root / "talks.tsv"), "--datastore", str(store), "--out", str(tmp_path / "h.jsonl")]
+        argv += ["--ivf-index", str(index)] if index else []
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert not (tmp_path / "h.jsonl").exists()
+        return capsys.readouterr().err
+
+    def test_datastore_dim_names_the_datastore(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        store = load_datastore(root / "s.knnd")
+        hidden = store.dim
+        bad = tmp_path / "wide.knnd"
+        wide = Datastore(hidden + 1, np.zeros((len(store), hidden + 1), np.float32), store.values, store.talk_ids)
+        save_datastore(wide, bad)
+        err = self.decode(root, tmp_path, capsys, bad)
+        assert err == f"error: {bad}: datastore dim {hidden + 1} != model hidden dim {hidden}\n"
+
+    def test_token_id_names_the_datastore(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        store = load_datastore(root / "s.knnd")
+        vocab_size = len(Vocab.load(root / "v.txt"))
+        store.values = store.values + vocab_size
+        bad = tmp_path / "ids.knnd"
+        save_datastore(store, bad)
+        err = self.decode(root, tmp_path, capsys, bad)
+        assert err == f"error: {bad}: datastore token id {store.values.max()} is outside the vocabulary of {vocab_size}\n"
+
+    def test_index_of_another_store_names_the_index(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        store = load_datastore(root / "s.knnd")
+        rows = len(store)
+        store.keys, store.values, store.talk_ids = store.keys[:-1], store.values[:-1], store.talk_ids[:-1]
+        short = tmp_path / "short.knnd"
+        save_datastore(store, short)
+        err = self.decode(root, tmp_path, capsys, short, root / "s.knni")
+        want = f"IVF index over {rows} rows of dim {store.dim} does not match a datastore of {rows - 1} rows of dim {store.dim}"
+        assert err == f"error: {root / 's.knni'}: {want}\n"
+
 
 class TestVocabSize:
     """A --vocab whose size differs from a checkpoint's is a data error that
@@ -1283,8 +1338,9 @@ def header_words(name, data):
 
 
 # each input file with the kinds of change that apply to it
+BINARY = ("m.rmdl", "s.knnd", "s.knni")
 MUTATIONS = [
-    *((name, kind) for name in ("m.rmdl", "s.knnd", "s.knni") for kind in ("word", "byte", "truncate", "float")),
+    *((name, kind) for name in BINARY for kind in ("word", "words", "byte", "truncate", "float")),
     *((name, kind) for name in ("v.txt", "lm.txt", "talks.tsv") for kind in ("byte", "truncate", "utf8")),
     ("lm.txt", "word"),
     ("lm.txt", "count"),
@@ -1295,9 +1351,9 @@ MUTATIONS = [
 @st.composite
 def mutations(draw, name, kind, data):
     """`data` with one hostile change of `kind`: a header word (or a counts
-    file's order or count) set to an edge value, one byte changed, a
-    truncation, a non-finite float, bytes that are not UTF-8, or an odd
-    talk id."""
+    file's order or count) set to an edge value, two header words set at
+    once, one byte changed, a truncation, a non-finite float, bytes that
+    are not UTF-8, or an odd talk id."""
     out = bytearray(data)
     if kind == "byte":
         out[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
@@ -1306,9 +1362,11 @@ def mutations(draw, name, kind, data):
     elif kind == "word" and name == "lm.txt":  # the header's order
         header, rest = data.split(b"\n", 1)
         out = bytearray(header.rsplit(b"=", 1)[0] + b"=%d\n" % draw(st.sampled_from(U32_EDGES)) + rest)
-    elif kind == "word":
+    elif kind in ("word", "words"):
         offsets, _ = header_words(name, data)
-        struct.pack_into("<I", out, draw(st.sampled_from(offsets)), draw(st.sampled_from(U32_EDGES)))
+        n = 1 if kind == "word" else 2
+        for at in draw(st.lists(st.sampled_from(offsets), min_size=n, max_size=n, unique=True)):
+            struct.pack_into("<I", out, at, draw(st.sampled_from(U32_EDGES)))
     elif kind == "float":
         _, (start, stop, width) = header_words(name, data)
         at = start + width * draw(st.integers(0, (stop - start) // width - 1))
@@ -1351,7 +1409,8 @@ def hostile_dir(tmp_path_factory):
 class TestHostileInputs:
     """Each smoke-size input, changed in one hostile way, gives either exit
     2 with one `error:` line, no traceback and no --out file, or exit 0 with
-    every output strict JSON and every score finite."""
+    every output strict JSON and every score finite. A checkpoint, store or
+    index refused names one of the files given."""
 
     # the command each mutated file is given to: every file decode reads at
     # once, and the talkset to leave-one-out, where talk ids matter most
@@ -1377,6 +1436,8 @@ class TestHostileInputs:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert stdout.getvalue() == "" and not out.exists()
+            if name in BINARY:
+                assert any(arg in err for arg in argv if arg == str(bad) or arg.startswith(str(root))), err
         else:
             assert code == 0, err
             strict_json(stdout.getvalue())

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -1010,8 +1011,29 @@ class TestSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[:cut] if cut < 0 else blob + b"\x00")
         size = len(blob)
-        with pytest.raises(ValueError, match=f"s.bin: header implies {size} bytes, file has {size + cut}"):
+        # a datastore's exact total is checked before its arrays; an IVF
+        # index one byte short fails at its last list's read
+        bound = "at least " if kind == "ivf" and cut < 0 else ""
+        with pytest.raises(ValueError, match=f"s.bin: header implies {bound}{size} bytes, file has {size + cut}"):
             load(path)
+
+    @pytest.mark.parametrize("kind", ["datastore", "ivf"])
+    def test_every_prefix_rejected(self, tmp_path, kind):
+        ds = random_store(seed=51, n=40, dim=4)
+        path = tmp_path / "s.bin"
+        if kind == "datastore":
+            save_datastore(ds, path)
+            load = load_datastore
+        else:
+            save_ivf(train_ivf(ds, n_clusters=4, seed=0), path)
+            load = load_ivf
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load(path)
+        path.write_bytes(blob)
+        load(path)
 
     def test_load_holds_the_file_once(self, tmp_path):
         path = tmp_path / "s.knnd"

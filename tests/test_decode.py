@@ -276,6 +276,12 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             DecodeConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_len", [0, 1025, 10**20])
+    def test_max_len_bounded(self, max_len):
+        with pytest.raises(ValueError, match=rf"^max_len must be in \[1, 1024\], got {max_len}$"):
+            DecodeConfig(max_len=max_len)
+        assert DecodeConfig(max_len=1024).max_len == 1024
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_temperature_must_be_finite(self, value):
         with pytest.raises(ValueError, match="temperature must be finite"):

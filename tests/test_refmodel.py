@@ -469,6 +469,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"^{re.escape(want)}$"):
             load_checkpoint(path)
 
+    def test_size_overflowing_int64_refused(self, tmp_path):
+        # (2**32 - 1)**2 floats overflow an int64 product of the shape, which
+        # once let the header past the size check into NumPy's own error
+        path = tmp_path / "m.rmdl"
+        path.write_bytes(b"RMDL" + struct.pack("<5I", 1, 2**32 - 1, 4, 2**32 - 1, 3))
+        want = f"{path}: header implies at least {24 + 8 * (2**32 - 1) ** 2} bytes, file has 24"
+        with pytest.raises(ValueError, match=rf"^{re.escape(want)}$"):
+            load_checkpoint(path)
+
     def test_adapter_listed_twice_rejected(self, tmp_path):
         model = fresh_model(seed=9, rank=3)
         model.add_adapter("a", seed=1)
@@ -509,3 +518,16 @@ class TestCheckpoint:
             ValueError, match=f"m.rmdl: header implies {bound}{len(blob)} bytes, file has {len(blob) + cut}"
         ):
             load_checkpoint(path)
+
+    def test_every_prefix_rejected(self, tmp_path):
+        model = RefModel(init_params(VOCAB, embed_dim=2, hidden_dim=3, seed=11), adapter_rank=2)
+        model.add_adapter("news")
+        path = tmp_path / "m.rmdl"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_checkpoint(path)
+        path.write_bytes(blob)
+        assert load_checkpoint(path).adapters.keys() == {"news"}
