@@ -72,8 +72,9 @@ class Datastore:
     take = min(k, rows not excluded), ascending by distance, row index
     breaking ties. IVF slots the probed lists cannot fill hold row -1 and
     distance +inf, after the filled ones; the Neighbor views drop them.
-    `keys` and `talk_ids` are read-only, since search caches what it
-    derives from the arrays held."""
+    What search derives from the fields is kept in `_derived`, emptied
+    whenever a field is assigned; `keys` and `talk_ids` are read-only, as
+    writing them in place would leave it stale."""
 
     dim: int
     keys: np.ndarray  # (N, dim) float32
@@ -91,6 +92,7 @@ class Datastore:
         if name in ("keys", "talk_ids"):
             value.flags.writeable = False
         super().__setattr__(name, value)
+        self.__dict__["_derived"] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -212,15 +214,14 @@ _SEARCH_ELEMS = 1 << 18
 
 @dataclass
 class _KeyGroups:
-    """Exact search's cache for one keys array: the rows grouped by key
+    """What exact search derives from the keys: the rows grouped by key
     bytes, in the byte order of the keys, group g holding
     members[bounds[g]:bounds[g + 1]] in ascending row order, first[g] the
     first of them; -2 U^T and |U|^2 of the distinct keys U, and max_norm,
     a bound on their norms. Row indices and counts are int32 unless the
     store has 2**31 rows or more; each excluded talk's eligible rows are
-    kept apart (_eligible)."""
+    kept apart (_eligible_groups)."""
 
-    keys: np.ndarray
     members: np.ndarray
     bounds: np.ndarray
     first: np.ndarray
@@ -230,14 +231,13 @@ class _KeyGroups:
 
 
 def _key_groups(ds: Datastore) -> _KeyGroups:
-    """The store's key groups, rebuilt whenever it holds another keys
-    array. A stable sort of the rows as byte strings puts byte-equal rows
-    next to each other in ascending row order; neighbours are compared
-    _CACHE_ROWS at a time, so the keys are never gathered at full size.
-    Rows equal in value but not in bytes, such as 0.0 and -0.0, form
-    separate groups."""
-    grp = ds.__dict__.get("_groups")
-    if grp is None or grp.keys is not ds.keys:
+    """The store's key groups, kept in its derived state. A stable sort of
+    the rows as byte strings puts byte-equal rows next to each other in
+    ascending row order; neighbours are compared _CACHE_ROWS at a time, so
+    the keys are never gathered at full size. Rows equal in value but not
+    in bytes, such as 0.0 and -0.0, form separate groups."""
+    grp = ds._derived.get("key_groups")
+    if grp is None:
         idx = np.int32 if len(ds) < 2**31 else np.int64
         keys = np.ascontiguousarray(ds.keys)
         rows = keys.view(np.dtype((np.void, keys.itemsize * ds.dim)))[:, 0]
@@ -257,44 +257,30 @@ def _key_groups(ds: Datastore) -> _KeyGroups:
             np.multiply(u.T, -2.0, out=neg2_ut[:, lo : lo + len(u)])  # exact
         # |U|^2 <= (sq + n 2^-149) / (1 - gamma_n), n products that may underflow
         max_norm = ((float(sq.max()) + ds.dim * 2.0**-149) / (1 - _gamma(ds.dim))) ** 0.5
-        grp = ds._groups = _KeyGroups(ds.keys, members, bounds, first, neg2_ut, sq, max_norm)
+        grp = ds._derived["key_groups"] = _KeyGroups(members, bounds, first, neg2_ut, sq, max_norm)
     return grp
 
 
-@dataclass
-class _Eligible:
-    """What search derives for one excluded talk (None: no talk excluded):
-    the eligible row count and, once exact search has run, the key groups'
-    eligible rows (_eligible_groups)."""
-
-    count: int
-    groups: tuple | None = None
-
-
-def _eligible(ds: Datastore, exclude_talk: int | None) -> _Eligible:
-    """The store's entry for an excluded talk. One cache keyed by talk
-    holds every talk searched, so searches that alternate talks (a
-    leave-one-out step searches once per talk) derive each talk's entry
-    once. It is dropped when the store holds another keys or talk_ids
-    array. An entry holds 4 bytes a row and 12 a key group, twice that for
-    stores of 2**31 rows or more."""
-    cache = ds.__dict__.get("_by_talk")
-    if cache is None or cache[0] is not ds.keys or cache[1] is not ds.talk_ids:
-        cache = ds._by_talk = (ds.keys, ds.talk_ids, {})
-    entry = cache[2].get(exclude_talk)
-    if entry is None:
+def _eligible_count(ds: Datastore, exclude_talk: int | None) -> int:
+    """The rows not from the excluded talk (None: no talk excluded). The
+    derived state keeps this and _eligible_groups for every talk searched,
+    so searches that alternate talks (a leave-one-out step searches once
+    per talk) derive each talk's entries once."""
+    count = ds._derived.get(("eligible_count", exclude_talk))
+    if count is None:
         excluded = 0 if exclude_talk is None else int(np.count_nonzero(ds.talk_ids == exclude_talk))
-        entry = cache[2][exclude_talk] = _Eligible(len(ds) - excluded)
-    return entry
+        count = ds._derived[("eligible_count", exclude_talk)] = len(ds) - excluded
+    return count
 
 
-def _eligible_groups(
-    ds: Datastore, grp: _KeyGroups, entry: _Eligible, exclude_talk: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(counts, starts, members, sq), kept in the talk's entry: group g's
+def _eligible_groups(ds: Datastore, exclude_talk: int | None) -> tuple:
+    """(counts, starts, members, sq), kept in the derived state: group g's
     eligible rows are members[starts[g]:starts[g] + counts[g]], ascending;
-    |U|^2 is +inf for a group with no eligible row."""
-    if entry.groups is None:
+    |U|^2 is +inf for a group with no eligible row. An entry holds 4 bytes
+    a row and 12 a key group, twice that for stores of 2**31 rows or more."""
+    groups = ds._derived.get(("eligible_groups", exclude_talk))
+    if groups is None:
+        grp = _key_groups(ds)
         idx = grp.members.dtype.type
         members, counts = grp.members, np.diff(grp.bounds)
         if exclude_talk is not None:
@@ -304,8 +290,8 @@ def _eligible_groups(
         sq = np.where(counts > 0, grp.sq, np.inf)
         starts = np.cumsum(counts, dtype=idx)
         starts -= counts
-        entry.groups = (counts, starts, members, sq)
-    return entry.groups
+        groups = ds._derived[("eligible_groups", exclude_talk)] = (counts, starts, members, sq)
+    return groups
 
 
 def _pick(
@@ -415,12 +401,11 @@ def query_exact_batch_rows(
     any summation order, and a scored distance never depends on the batch: a
     query gets the same rows and distances in any batch."""
     Q = _check_queries(ds, queries, k)
-    entry = _eligible(ds, exclude_talk)
-    take = min(k, entry.count)
+    take = min(k, _eligible_count(ds, exclude_talk))
     if len(Q) == 0 or take == 0:
         return np.zeros((len(Q), take), dtype=np.int64), np.zeros((len(Q), take), dtype=np.float32)
     grp = _key_groups(ds)
-    groups = _eligible_groups(ds, grp, entry, exclude_talk)
+    groups = _eligible_groups(ds, exclude_talk)
     found = _search_tiles(ds, grp, groups, Q, take)
     if found is None:  # margin pairs past the budget: blocks of one tile each
         block = max(1, _SEARCH_ELEMS // len(grp.sq))
@@ -587,9 +572,9 @@ def check_index(ds: Datastore) -> IvfIndex:
     the store's rows, its centroids have the store's dim, and each
     non-empty list's centroid holds the bytes of the float32 mean
     train_ivf takes of the list's keys. That binds an index to its store's
-    keys; the verdict is kept while the store holds the same keys array and
-    index, together with what IVF search scans: the rows in posting-list
-    order, the keys in that order and each list's start in it."""
+    keys; the verdict is kept in the derived state as what IVF search
+    scans: the rows in posting-list order, the keys in that order and each
+    list's start in it."""
     idx = ds.index
     if idx is None:
         raise ValueError("datastore has no IVF index; call train_ivf first")
@@ -598,8 +583,7 @@ def check_index(ds: Datastore) -> IvfIndex:
             f"IVF index over {idx.n_rows} rows of dim {idx.centroids.shape[1]} "
             f"does not match a datastore of {len(ds)} rows of dim {ds.dim}"
         )
-    bound = ds.__dict__.get("_bound")
-    if bound is None or bound[0] is not ds.keys or bound[1] is not idx:
+    if "ivf_scan" not in ds._derived:
         for c, rows in enumerate(idx.lists):
             if len(rows) and _mean_rows(ds.keys, rows).astype(np.float32).tobytes() != idx.centroids[c].tobytes():
                 raise ValueError(
@@ -611,7 +595,7 @@ def check_index(ds: Datastore) -> IvfIndex:
         # some benchmark runs and not in others
         order = np.concatenate(idx.lists)
         starts = np.cumsum([0] + [len(rows) for rows in idx.lists])
-        ds._bound = (ds.keys, idx, order, ds.keys[order], starts)
+        ds._derived["ivf_scan"] = (order, ds.keys[order], starts)
     return idx
 
 
@@ -647,12 +631,12 @@ def query_ivf_rows(
     mapped back to row indices; a (distance, row) sort of the candidates
     picks the result, so ties break by row index across lists."""
     idx = check_index(ds)
-    _, _, order, list_keys, starts = ds._bound
+    order, list_keys, starts = ds._derived["ivf_scan"]
     Q = _check_queries(ds, queries, k)
     probes = idx.nprobe if nprobe is None else nprobe
     if probes < 1 or probes > idx.n_clusters:
         raise ValueError(f"nprobe must be in [1, {idx.n_clusters}], got {probes}")
-    take = min(k, _eligible(ds, exclude_talk).count)
+    take = min(k, _eligible_count(ds, exclude_talk))
     rows = np.full((len(Q), take), -1, dtype=np.int64)
     dists = np.full((len(Q), take), np.inf, dtype=np.float32)
     diff = np.empty((max(len(rows) for rows in idx.lists), ds.dim), dtype=np.float32)

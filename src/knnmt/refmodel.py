@@ -27,6 +27,8 @@ from .core import check_file_size, check_finite, read_array, read_bytes
 BASE_PARAM_NAMES = ("E", "W_c", "W_y", "W_h", "b", "U", "b_o")
 CHECKPOINT_MAGIC = b"RMDL"
 CHECKPOINT_VERSION = 1
+GRAD_CHECK_EPSILON = 1e-4
+GRAD_CHECK_SAMPLES = 8
 
 
 class StepModel(ABC):
@@ -435,19 +437,16 @@ def train(
 def grad_check(
     model: RefModel,
     pair: SentencePair,
-    epsilon: float = 1e-4,
-    samples_per_array: int = 8,
     seed: int = 0,
     grads: dict[str, np.ndarray] | None = None,
 ) -> float:
     """Max relative error between analytic gradients and central finite
-    differences over sampled coordinates of every parameter array.
+    differences over GRAD_CHECK_SAMPLES sampled coordinates of every
+    parameter array, each moved by +-GRAD_CHECK_EPSILON.
 
     Pass `grads` to check a supplied gradient (e.g. one with an injected
     fault) instead of the freshly computed one.
     """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError("epsilon must be in [1e-6, 1e-3]")
     if grads is None:
         _, _, grads = _pair_grads(model, pair.source, pair.target)
     arrays = _trainable_arrays(model, False)
@@ -459,16 +458,16 @@ def grad_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, arr in arrays.items():
-        n = min(samples_per_array, arr.size)
+        n = min(GRAD_CHECK_SAMPLES, arr.size)
         for flat_i in rng.choice(arr.size, size=n, replace=False):
             idx = np.unravel_index(flat_i, arr.shape)
             orig = arr[idx]
-            arr[idx] = orig + epsilon
+            arr[idx] = orig + GRAD_CHECK_EPSILON
             up = loss_of_current()
-            arr[idx] = orig - epsilon
+            arr[idx] = orig - GRAD_CHECK_EPSILON
             down = loss_of_current()
             arr[idx] = orig
-            fd = (up - down) / (2.0 * epsilon)
+            fd = (up - down) / (2.0 * GRAD_CHECK_EPSILON)
             analytic = float(grads[name][idx])
             err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
             worst = max(worst, err)

@@ -1,6 +1,8 @@
+import gc
 import re
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -298,11 +300,12 @@ class TestKeyGroups:
         ds = grouped_store(seed=57)
         Q = ds.keys[:4]
         ds.search_batch_rows(Q, 5)
-        before = ds._groups
+        before = knnmt.datastore._key_groups(ds)
         ds.keys = grouped_store(seed=58, n_keys=12).keys
         assert_scan_equal(ds, Q, 5)
-        assert ds._groups is not before and ds._groups.keys is ds.keys
-        assert len(ds._groups.bounds) - 1 == len(np.unique(ds.keys.view(np.uint32), axis=0))
+        after = knnmt.datastore._key_groups(ds)
+        assert after is not before
+        assert len(after.bounds) - 1 == len(np.unique(ds.keys.view(np.uint32), axis=0))
 
     def test_alternating_exclusion_matches_a_fresh_store(self):
         ds = grouped_store(seed=59)
@@ -351,10 +354,10 @@ class TestKeyGroups:
         )
         Q = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.float32)
         assert_scan_equal(ds, Q, 1, 1)
-        cache = knnmt.datastore._eligible(ds, 1).groups
+        cache = knnmt.datastore._eligible_groups(ds, 1)
         for k in (40, 1_499, 1_500, 3_000):
             assert_scan_equal(ds, Q, k, 1)
-        assert knnmt.datastore._eligible(ds, 1).groups is cache
+        assert knnmt.datastore._eligible_groups(ds, 1) is cache
         assert max(a.size for a in cache if isinstance(a, np.ndarray)) <= len(ds) + 1
 
     def test_talk_ids_cannot_be_written_in_place(self):
@@ -440,7 +443,7 @@ class TestSearchBatch:
                 tracemalloc.stop()
 
         assert peak(64) < 1.2 * peak(4)
-        assert len(ds._groups.first) == n and min(widths) >= n / 2
+        assert len(knnmt.datastore._key_groups(ds).first) == n and min(widths) >= n / 2
 
     def test_origin_margin_set_on_a_thin_shell_stays_narrow(self, monkeypatch):
         # distinct keys on a sphere, radii 10 to 10.001: the squared norms
@@ -789,6 +792,50 @@ class TestIvf:
         flat = ds.search_batch(q[None], 4)[0]
         ds.index = train_ivf(ds, n_clusters=8, seed=0, nprobe=8)
         assert ds.search_batch(q[None], 4)[0] == flat  # full probe count stays exact
+
+
+def indexed_integer_store():
+    """120 rows of small integer keys with a 4-list index. Float64 sums
+    of such keys are exact in any order, so keys permuted within each
+    posting list keep every list's mean, and the index stays the store's."""
+    rng = np.random.default_rng(73)
+    ds = Datastore(
+        dim=4,
+        keys=rng.integers(-4, 5, size=(120, 4)).astype(np.float32),
+        values=rng.integers(0, 9, size=120).astype(np.uint32),
+        talk_ids=(np.arange(120) % 3).astype(np.uint32),
+    )
+    ds.index = train_ivf(ds, n_clusters=4, seed=0, nprobe=2)
+    return ds
+
+
+class TestDerivedState:
+    @pytest.mark.parametrize("name", ["keys", "talk_ids", "index"])
+    def test_assigning_a_field_drops_what_search_derived(self, name):
+        # nothing derived pins the replaced object, and the next searches
+        # are those of a fresh store holding the new fields
+        ds = indexed_integer_store()
+        Q = ds.keys[:5] + np.float32(0.25)
+        query_exact_batch_rows(ds, Q, 6, exclude_talk=1)
+        query_ivf(ds, Q[0], 6)
+        if name == "keys":
+            perm = np.arange(len(ds))
+            for rows in ds.index.lists:
+                perm[rows] = rows[::-1]
+            new = ds.keys[perm]
+        elif name == "talk_ids":
+            new = np.roll(ds.talk_ids, 1)
+        else:
+            new = train_ivf(ds, n_clusters=3, seed=1, nprobe=2)
+        old = weakref.ref(getattr(ds, name))
+        setattr(ds, name, new)
+        gc.collect()
+        assert old() is None
+        fresh = Datastore(ds.dim, ds.keys, ds.values, ds.talk_ids, ds.index)
+        for search in (query_exact_batch_rows, query_ivf_rows):
+            got, want = search(ds, Q, 6, 1), search(fresh, Q, 6, 1)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def duplicate_store(seed, n, dim, n_distinct):

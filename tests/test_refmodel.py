@@ -174,10 +174,6 @@ class TestGradients:
         grads["W_c"] = grads["W_c"] + 0.5
         assert grad_check(model, pair, seed=2, grads=grads) > 1e-2
 
-    def test_epsilon_validated(self):
-        with pytest.raises(ValueError):
-            grad_check(fresh_model(), some_pair(), epsilon=1.0)
-
     def test_training_forward_is_the_step_forward(self):
         # _pair_grads runs the cell step runs, so its loss is the sum of
         # step's token NLLs bit for bit, with and without an adapter
